@@ -33,6 +33,7 @@ from .evaluation import (
     EvalReport,
     GroundTruth,
     coverage_accuracy_table,
+    coverage_rows,
     group_similarity,
     precision_recall_f,
     run_ablation,
@@ -77,6 +78,7 @@ __all__ = [
     "candidates_topk_frequency",
     "combine_candidates",
     "coverage_accuracy_table",
+    "coverage_rows",
     "discriminator_loss",
     "group_similarity",
     "load_space",

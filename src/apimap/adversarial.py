@@ -18,6 +18,7 @@ import numpy as np
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError
 from .seeding import MappingMatrix, ORTHOGONALITY_TOL, STAGE_ADVERSARIAL
+from .similarity import topk, unit_rows
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-7
@@ -258,32 +259,8 @@ def selection_criterion(
         raise ValueError("k must be >= 1")
     if k > len(src):
         raise ValueError(f"k={k} exceeds source vocabulary size {len(src)}")
-    mapped = _mapped(w, src.vectors[:k])
-    norms = np.linalg.norm(mapped, axis=1, keepdims=True)
-    mapped = mapped / np.where(norms > 0, norms, 1.0)
-    sims = mapped @ tgt.unit_vectors.T
-    return float(sims.max(axis=1).mean())
-
-
-def rank_paired_cosine(
-    w: MappingMatrix | np.ndarray,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    k: int,
-) -> float:
-    """Diagnostic score pairing tokens by frequency rank.
-
-    Pairs the i-th most frequent source token with the i-th most frequent
-    target token and averages cos(W x_i, y_i) over the first k ranks. Logged
-    for inspection only; model selection uses ``selection_criterion``.
-    """
-    k = min(k, len(src), len(tgt))
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mapped = _mapped(w, src.vectors[:k])
-    norms = np.linalg.norm(mapped, axis=1, keepdims=True)
-    mapped = mapped / np.where(norms > 0, norms, 1.0)
-    return float(np.sum(mapped * tgt.unit_vectors[:k], axis=1).mean())
+    _, best = topk(unit_rows(_mapped(w, src.vectors[:k])), tgt.unit_vectors, 1)
+    return float(best.mean())
 
 
 @dataclass

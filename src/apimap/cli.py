@@ -236,7 +236,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     if args.thresholds:
         thresholds = [float(t) for t in args.thresholds.split(",")]
-        rows = evaluation.coverage_accuracy_table(w, src, tgt, truth, thresholds, k_list)
+        rows = evaluation.coverage_rows(results, truth, thresholds, k_list)
         dest = open(args.coverage_out, "w", encoding="utf-8", newline="") \
             if args.coverage_out else sys.stdout
         try:

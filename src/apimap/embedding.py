@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import CodeSequence, Vocabulary, build_vocabulary
 from .errors import FormatError
+from .similarity import unit_rows
 
 NEGATIVE_TABLE_EXPONENT = 0.75
 MIN_LEARNING_RATE = 1e-4
@@ -96,9 +97,7 @@ class EmbeddingSpace:
     def unit_vectors(self) -> np.ndarray:
         """Row-normalized copy of the vectors, cached. Zero rows stay zero."""
         if self._unit is None:
-            norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-            safe = np.where(norms > 0, norms, 1.0)
-            self._unit = self.vectors / safe
+            self._unit = unit_rows(self.vectors)
         return self._unit
 
 
@@ -294,7 +293,13 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
 
 
 def load_space(path: str) -> EmbeddingSpace:
-    """Read a word2vec text-format space; uses the frequency sidecar if present."""
+    """Read a word2vec text-format space; uses the frequency sidecar if present.
+
+    With a sidecar, counts must be non-increasing down the vector file's rows,
+    since later stages take the first rows as the most frequent tokens; a
+    sidecar that breaks this order raises FormatError. Without one, every
+    count is 1 and file order stands.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -337,6 +342,15 @@ def load_space(path: str) -> EmbeddingSpace:
                     raise FormatError(f"{sidecar}:{lineno}: expected 2 columns")
                 freq[cols[0]] = int(cols[1])
         counts = [freq.get(t, 1) for t in tokens]
+        # row 0 must be the most frequent token: the selection criterion,
+        # adversarial sampling and refinement candidates all read the head
+        for i in range(n - 1):
+            if counts[i] < counts[i + 1]:
+                raise FormatError(
+                    f"{sidecar}: counts increase from {tokens[i]} ({counts[i]}) to "
+                    f"{tokens[i + 1]} ({counts[i + 1]}); rows must be in "
+                    f"non-increasing frequency order"
+                )
     return EmbeddingSpace(rows, Vocabulary(tokens, counts))
 
 

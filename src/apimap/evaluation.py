@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, train_adversarial
+from .adversarial import AdvConfig, _mapped, train_adversarial
 from .embedding import EmbeddingSpace
 from .errors import FormatError
 from .query import QueryResult, batch_query
@@ -26,6 +26,7 @@ from .seeding import (
     seed_matrices,
     solve_procrustes,
 )
+from .similarity import unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -208,6 +209,22 @@ def coverage_accuracy_table(
 ) -> list[CoverageRow]:
     """Coverage and accuracy per similarity threshold and per k.
 
+    Queries every truth source for its top max(k_list) neighbors, then
+    tabulates them with ``coverage_rows``.
+    """
+    results = batch_query(truth.sources(), w, src, tgt, max(k_list))
+    return coverage_rows(results, truth, thresholds, k_list)
+
+
+def coverage_rows(
+    results: list[QueryResult],
+    truth: GroundTruth,
+    thresholds: list[float],
+    k_list: tuple[int, ...] = (1, 5),
+) -> list[CoverageRow]:
+    """Coverage/accuracy rows from unthresholded results of at least max(k_list)
+    neighbors per truth source.
+
     Coverage is the fraction of truth sources retaining at least one top-k
     neighbor at or above the threshold; accuracy is reported both over covered
     queries only and over all queries.
@@ -218,8 +235,7 @@ def coverage_accuracy_table(
     expected = truth.expected()
     if not expected:
         raise ValueError("empty ground truth")
-    k_max = max(k_list)
-    results = _results_by_token(batch_query(list(expected), w, src, tgt, k_max))
+    by_token = _results_by_token(results)
     rows: list[CoverageRow] = []
     for tau in thresholds:
         for k in k_list:
@@ -227,7 +243,7 @@ def coverage_accuracy_table(
             hits = 0
             for source, targets in expected.items():
                 kept = [
-                    t for t, s in results[source].neighbors[:k] if s >= tau
+                    t for t, s in by_token[source].neighbors[:k] if s >= tau
                 ]
                 if kept:
                     covered += 1
@@ -253,12 +269,10 @@ def group_similarity(
     package_pairs: list[tuple[str, str]],
 ) -> list[GroupSimilarity]:
     """Average mapped-to-target cosine over the member cross product of each
-    aligned package pair. Pairs with no members on either side are skipped."""
-    m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)
-    mapped = src.vectors @ m.T
-    norms = np.linalg.norm(mapped, axis=1, keepdims=True)
-    mapped = mapped / np.where(norms > 0, norms, 1.0)
-    tgt_unit = tgt.unit_vectors
+    aligned package pair. Pairs with no members on either side are skipped.
+
+    The mean over the cross product is the dot product of the two member sums
+    divided by the pair count, so no members x members matrix is built."""
     out: list[GroupSimilarity] = []
     for src_prefix, tgt_prefix in package_pairs:
         if not src_prefix or not tgt_prefix:
@@ -274,9 +288,11 @@ def group_similarity(
                 "skipping package pair (%s, %s): empty membership", src_prefix, tgt_prefix
             )
             continue
-        sims = mapped[src_idx] @ tgt_unit[tgt_idx].T
+        src_sum = unit_rows(_mapped(w, src.vectors[src_idx])).sum(axis=0)
+        tgt_sum = tgt.unit_vectors[tgt_idx].sum(axis=0)
+        count = len(src_idx) * len(tgt_idx)
         out.append(
-            GroupSimilarity(src_prefix, tgt_prefix, float(sims.mean()), sims.size)
+            GroupSimilarity(src_prefix, tgt_prefix, float(src_sum @ tgt_sum) / count, count)
         )
     return out
 

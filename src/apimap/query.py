@@ -2,7 +2,9 @@
 
 A query maps a source vector through W and ranks target tokens by cosine
 similarity with an exact scan. Target vectors are pre-normalized once per
-space, so ranking reduces to a dot product.
+space, so ranking reduces to a dot product; a batch of queries is ranked by
+one tiled scan (``similarity.topk``) and gets the same results as the same
+queries one at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from .embedding import EmbeddingSpace
 from .seeding import MappingMatrix
+from .similarity import topk, unit_rows
 
 
 @dataclass(frozen=True)
@@ -62,21 +65,32 @@ def nearest_neighbors(
     are filtered out and the result may be empty. A zero query vector has no
     defined cosine and raises ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    if np.linalg.norm(v) == 0:
         raise ValueError("undefined cosine for zero query vector")
-    sims = tgt.unit_vectors @ (v / norm)
-    # stable sort on descending similarity keeps vocabulary order within ties
-    order = np.argsort(-sims, kind="stable")[:k]
-    neighbors = [
-        (tgt.vocab.tokens[i], float(sims[i]))
-        for i in order
-        if threshold is None or sims[i] >= threshold
+    return _ranked([query_token], unit_rows(v[None, :]), tgt, k, threshold)[0]
+
+
+def _ranked(
+    query_tokens: list[str],
+    queries_unit: np.ndarray,
+    tgt: EmbeddingSpace,
+    k: int,
+    threshold: float | None,
+) -> list[QueryResult]:
+    idx, sims = topk(queries_unit, tgt.unit_vectors, k)
+    tokens = tgt.vocab.tokens
+    return [
+        QueryResult(
+            token,
+            tuple(
+                (tokens[i], s)
+                for i, s in zip(row_idx.tolist(), row_sims.tolist())
+                if threshold is None or s >= threshold
+            ),
+        )
+        for token, row_idx, row_sims in zip(query_tokens, idx, sims)
     ]
-    return QueryResult(query_token, tuple(neighbors))
 
 
 def batch_query(
@@ -87,12 +101,17 @@ def batch_query(
     k: int,
     threshold: float | None = None,
 ) -> list[QueryResult]:
-    """Query each token; unknown source tokens yield an oov-marked result."""
-    results: list[QueryResult] = []
-    for token in tokens:
-        if token not in src:
-            results.append(QueryResult(token, (), oov=True))
-            continue
-        mapped = map_vector(w, src.vector(token))
-        results.append(nearest_neighbors(mapped, tgt, k, threshold, query_token=token))
-    return results
+    """Query each token; unknown source tokens yield an oov-marked result.
+
+    Each result equals ``nearest_neighbors`` on the token's mapped vector.
+    """
+    known = [t for t in tokens if t in src]
+    mapped = np.empty((len(known), src.dim))
+    for i, token in enumerate(known):
+        mapped[i] = map_vector(w, src.vector(token))
+    if not np.all(np.linalg.norm(mapped, axis=1) > 0):
+        raise ValueError("undefined cosine for zero query vector")
+    ranked = iter(_ranked(known, unit_rows(mapped), tgt, k, threshold))
+    return [
+        next(ranked) if t in src else QueryResult(t, (), oov=True) for t in tokens
+    ]

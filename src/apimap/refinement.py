@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import selection_criterion
+from .adversarial import _mapped, selection_criterion
 from .embedding import EmbeddingSpace
 from .seeding import (
     MappingMatrix,
@@ -25,6 +25,7 @@ from .seeding import (
     seed_matrices,
     solve_procrustes,
 )
+from .similarity import pair_sims, topk, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -56,16 +57,6 @@ class RefineConfig:
             raise ValueError("selection_topk must be >= 1")
 
 
-def _aligned_units(
-    w: MappingMatrix | np.ndarray, src: EmbeddingSpace, tgt: EmbeddingSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)
-    mapped = src.vectors @ m.T
-    norms = np.linalg.norm(mapped, axis=1, keepdims=True)
-    mapped = mapped / np.where(norms > 0, norms, 1.0)
-    return mapped, tgt.unit_vectors
-
-
 def candidates_topk_frequency(
     w: MappingMatrix | np.ndarray,
     src: EmbeddingSpace,
@@ -81,15 +72,13 @@ def candidates_topk_frequency(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mapped, tgt_unit = _aligned_units(w, src, tgt)
+    mapped = unit_rows(_mapped(w, src.vectors))
     k = min(k, len(src))
-    sims = mapped[:k] @ tgt_unit.T
-    nn = sims.argmax(axis=1)
+    nn = topk(mapped[:k], tgt.unit_vectors, 1)[0][:, 0]
     keep = np.ones(k, dtype=bool)
     if mutual_nn:
         # best mapped source for each chosen target, searched over all sources
-        back = mapped @ tgt_unit[nn].T
-        keep = back.argmax(axis=0) == np.arange(k)
+        keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
     pairs = tuple(
         (src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in range(k) if keep[i]
     )
@@ -109,14 +98,10 @@ def candidates_cosine_threshold(
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    mapped, tgt_unit = _aligned_units(w, src, tgt)
-    sims = mapped @ tgt_unit.T
-    nn = sims.argmax(axis=1)
-    best = sims[np.arange(len(src)), nn]
+    nn, best = topk(unit_rows(_mapped(w, src.vectors)), tgt.unit_vectors, 1)
     pairs = tuple(
-        (src.vocab.tokens[i], tgt.vocab.tokens[nn[i]])
-        for i in range(len(src))
-        if best[i] >= threshold
+        (src.vocab.tokens[i], tgt.vocab.tokens[nn[i, 0]])
+        for i in np.flatnonzero(best[:, 0] >= threshold)
     )
     return SeedDictionary(pairs)
 
@@ -145,17 +130,16 @@ def _dedup_by_source(
 ) -> SeedDictionary:
     """Keep one pair per source token, the one with the highest similarity,
     so the re-solve is not dominated by a single hub."""
-    mapped, tgt_unit = _aligned_units(w, src, tgt)
+    src_idx = np.array([src.vocab.index(s) for s, _ in pairs], dtype=np.int64)
+    tgt_idx = np.array([tgt.vocab.index(t) for _, t in pairs], dtype=np.int64)
+    mapped = unit_rows(_mapped(w, src.vectors[src_idx]))
+    sims = pair_sims(mapped, tgt.unit_vectors, np.arange(len(pairs)), tgt_idx)
+    # insertion order keeps each source at its first appearance
     best: dict[str, tuple[float, str]] = {}
-    order: list[str] = []
-    for s, t in pairs:
-        sim = float(mapped[src.vocab.index(s)] @ tgt_unit[tgt.vocab.index(t)])
-        if s not in best:
-            order.append(s)
+    for (s, t), sim in zip(pairs, sims.tolist()):
+        if s not in best or sim > best[s][0]:
             best[s] = (sim, t)
-        elif sim > best[s][0]:
-            best[s] = (sim, t)
-    return SeedDictionary(tuple((s, best[s][1]) for s in order))
+    return SeedDictionary(tuple((s, t) for s, (_, t) in best.items()))
 
 
 @dataclass
@@ -194,10 +178,13 @@ def refine(
     Each iteration builds candidates under the current W, solves the orthogonal
     alignment on them, and scores it with the selection criterion. The loop
     stops after ``max_iters`` iterations, after ``patience`` iterations without
-    improvement, or when the candidate set comes up empty. The best-scoring
-    snapshot is returned; with no iterations at all (max_iters=0), the input is
-    returned unchanged. The fallback comparison baseline is the orthogonal part
-    of the input, so any actually-refined result is always orthogonal.
+    improvement, when the candidate set comes up empty, or when it repeats the
+    previous iteration's set exactly: the re-solve would reproduce the current
+    W and its criterion, so that iteration's report row repeats the previous
+    one and the loop ends. The best-scoring snapshot is returned; with no
+    iterations at all (max_iters=0), the input is returned unchanged. The
+    fallback comparison baseline is the orthogonal part of the input, so any
+    actually-refined result is always orthogonal.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -214,6 +201,7 @@ def refine(
     best_w = base
     best_criterion = selection_criterion(base, src, tgt, k_sel)
     current = w2.w
+    previous: SeedDictionary | None = None
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
         by_freq = candidates_topk_frequency(current, src, tgt, cfg.topk, cfg.mutual_nn)
@@ -225,6 +213,11 @@ def refine(
                 "refinement stopped at iteration %d: empty candidate set", iteration
             )
             break
+        if previous is not None and combined == previous:
+            if report is not None:
+                report.append(RefineStep(iteration, len(combined), criterion))
+            break
+        previous = combined
         x_s, y_s = seed_matrices(combined, src, tgt)
         solved = solve_procrustes(x_s, y_s)
         criterion = selection_criterion(solved.w, src, tgt, k_sel)

@@ -15,6 +15,7 @@ import numpy as np
 from .corpus import Vocabulary
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError, FormatError
+from .similarity import unit_rows
 
 STAGE_SEEDED = "seeded"
 STAGE_ADVERSARIAL = "adversarial"
@@ -120,11 +121,6 @@ def seed_matrices(
     return x, y
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return m / np.where(norms > 0, norms, 1.0)
-
-
 def _sign_fixed_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD with each left singular vector's first nonzero entry made non-negative.
 
@@ -154,8 +150,8 @@ def solve_procrustes(x_s: np.ndarray, y_s: np.ndarray) -> MappingMatrix:
         raise ValueError("seed matrices must have identical |S| x d shapes")
     if x_s.shape[0] < 1:
         raise ValueError("at least one seed pair is required")
-    x = _unit_rows(x_s)
-    y = _unit_rows(y_s)
+    x = unit_rows(x_s)
+    y = unit_rows(y_s)
     u, _, vt = _sign_fixed_svd(y.T @ x)
     w = u @ vt
     return MappingMatrix(w, STAGE_SEEDED, orthogonal=True)
@@ -175,8 +171,8 @@ def solve_gradient_descent(
     """
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    x = _unit_rows(np.asarray(x_s, dtype=np.float64))
-    y = _unit_rows(np.asarray(y_s, dtype=np.float64))
+    x = unit_rows(x_s)
+    y = unit_rows(y_s)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError("seed matrices must have identical |S| x d shapes")
     n, d = x.shape

@@ -1,0 +1,99 @@
+"""Exact cosine top-k between unit-normalized rows, scanned in fixed-size tiles.
+
+Every nearest-neighbor scan of the pipeline goes through ``topk``: queries,
+refinement candidates (forward and mutual back-check) and the selection
+criterion. A tile of queries is ranked against all targets by one float32
+matrix product; every target within the float32 error bound of a query's k-th
+best is kept as a candidate, and the candidates' similarities are recomputed
+in float64 by a row-wise multiply-sum. The true top k are always among the
+candidates, and a recomputed value depends only on its two rows, so a query
+gets the same neighbors and similarities whichever batch or tile it is in.
+Memory is O(tile x n_targets), never O(n_queries x n_targets).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# bytes of the float32 similarity block ranked at once (query rows x targets)
+TILE_BYTES = 1 << 22
+# bytes of each block of gathered float64 rows in ``pair_sims``
+GATHER_BYTES = 1 << 18
+
+
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit Euclidean length; zero rows stay zero."""
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / np.where(norms > 0, norms, 1.0)
+
+
+def pair_sims(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``a[ia[n]] . b[ib[n]]`` for each n, by a row-wise multiply-sum.
+
+    Each value depends only on its two rows, not on which other pairs are
+    computed alongside it.
+    """
+    out = np.empty(len(ia))
+    step = max(1, GATHER_BYTES // (8 * a.shape[1]))
+    for lo in range(0, len(ia), step):
+        sl = slice(lo, lo + step)
+        out[sl] = np.einsum("ij,ij->i", a[ia[sl]], b[ib[sl]])
+    return out
+
+
+def topk(
+    queries_unit: np.ndarray, tgt_unit: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k most similar target rows of each query row, by dot product.
+
+    Both inputs are unit-normalized rows (see ``unit_rows``), so the dot
+    product is the cosine. Returns ``(indices, similarities)``, each of shape
+    ``(n_queries, min(k, n_targets))``, ordered by similarity descending with
+    ties broken by the lower target index. k=1 is the argmax.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n_q, n_t = queries_unit.shape[0], tgt_unit.shape[0]
+    k = min(k, n_t)
+    idx = np.empty((n_q, k), dtype=np.int64)
+    sims = np.empty((n_q, k))
+    if k == 0:
+        return idx, sims
+    # For unit rows, rounding both to float32 and summing d products in
+    # float32 errs by at most about (d + 2) * 2**-24 in any summation order,
+    # so every target whose exact similarity reaches the k-th best ranks
+    # within twice that of the float32 k-th best. The margin doubles it again
+    # to cover the float32 rounding of the threshold itself.
+    margin = (tgt_unit.shape[1] + 2) * 2.0**-21
+    tgt32 = tgt_unit.astype(np.float32)
+    rows = max(1, TILE_BYTES // (4 * n_t))
+    pick = np.arange(k)
+    for lo in range(0, n_q, rows):
+        q = queries_unit[lo:lo + rows]
+        block = q.astype(np.float32) @ tgt32.T
+        if k == 1:
+            top = block.argmax(axis=1)[:, None]
+        else:
+            top = np.empty((len(q), k), dtype=np.int64)
+            for i in range(len(q)):
+                top[i] = np.argpartition(block[i], n_t - k)[n_t - k:]
+        kth = np.take_along_axis(block, top, axis=1).min(axis=1)
+        near = block >= (kth - margin)[:, None]
+        del block
+        # rows with no candidate beyond their top k need no index scan
+        tied = np.count_nonzero(near, axis=1) > k
+        tied_rows = np.flatnonzero(tied)
+        r_tied, c_tied = np.nonzero(near[tied_rows])
+        del near
+        plain = np.flatnonzero(~tied)
+        r = np.concatenate([np.repeat(plain, k), tied_rows[r_tied]])
+        c = np.concatenate([top[plain].ravel(), c_tied])
+        exact = pair_sims(q, tgt_unit, r, c)
+        order = np.lexsort((c, -exact, r))
+        # after the sort each row's candidates are contiguous, at least k of them
+        starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=len(q)))[:-1]))
+        take = order[(starts[:, None] + pick).ravel()]
+        idx[lo:lo + len(q)] = c[take].reshape(-1, k)
+        sims[lo:lo + len(q)] = exact[take].reshape(-1, k)
+    return idx, sims

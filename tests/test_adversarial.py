@@ -13,7 +13,6 @@ from apimap.adversarial import (
     discriminator_loss,
     mapping_gradient,
     mapping_loss,
-    rank_paired_cosine,
     selection_criterion,
     train_adversarial,
     write_training_log,
@@ -196,14 +195,6 @@ class TestSelectionCriterion:
             selection_criterion(np.eye(4), space, space, 0)
         with pytest.raises(ValueError):
             selection_criterion(np.eye(4), space, space, 11)
-
-    def test_rank_paired_cosine_on_aligned_spaces(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(30, 6))
-        rot = random_orthogonal(6, rng)
-        src = space_from(x)
-        tgt = space_from(x @ rot.T, prefix="t")
-        assert rank_paired_cosine(rot, src, tgt, 30) == pytest.approx(1.0)
 
 
 class TestAdvConfig:

@@ -310,6 +310,38 @@ class TestQueryAndEval:
         assert "stages,k,accuracy" in abl.read_text()
         assert "S,1," in abl.read_text()
 
+    def test_eval_thresholds_query_once(self, aligned, tmp_path, monkeypatch):
+        from apimap import evaluation, query
+        from apimap.seeding import load_matrix
+
+        expected_rows = evaluation.coverage_accuracy_table(
+            load_matrix(str(aligned["matrix"])),
+            load_space(str(aligned["src"])), load_space(str(aligned["tgt"])),
+            evaluation.load_ground_truth(str(aligned["truth"])), [0.5, 0.7], (1, 5))
+        calls = []
+        original = query.batch_query
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(query, "batch_query", counting)
+        monkeypatch.setattr(evaluation, "batch_query", counting)
+        cov = tmp_path / "coverage.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--k-list", "1,5",
+                   "--thresholds", "0.5,0.7", "--out", str(tmp_path / "report.csv"),
+                   "--coverage-out", str(cov))
+        assert code == 0
+        assert len(calls) == 1
+        rows = cov.read_text().splitlines()[2:]
+        assert rows == [
+            f"{r.threshold},{r.k},{r.coverage:.6f},{r.accuracy_covered:.6f},"
+            f"{r.accuracy_overall:.6f}"
+            for r in expected_rows
+        ]
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_2(self):

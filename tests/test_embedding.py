@@ -170,6 +170,16 @@ class TestSpaceIO:
         loaded = load_space(str(path))
         assert loaded.vocab.counts == [1, 1]
 
+    def test_sidecar_out_of_frequency_order_rejected(self, tmp_path):
+        path = tmp_path / "space.txt"
+        path.write_text("3 2\na 0.1 0.2\nb 0.3 0.4\nc 0.5 0.6\n")
+        (tmp_path / "space.txt.freq").write_text("a\t9\nb\t4\nc\t7\n")
+        with pytest.raises(FormatError, match="non-increasing frequency order"):
+            load_space(str(path))
+        # ties keep file order
+        (tmp_path / "space.txt.freq").write_text("a\t9\nb\t4\nc\t4\n")
+        assert load_space(str(path)).vocab.counts == [9, 4, 4]
+
 
 class TestEmbeddingSpace:
     def test_rejects_nonfinite(self):

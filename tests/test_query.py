@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apimap import similarity
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
 from apimap.query import QueryResult, batch_query, map_vector, nearest_neighbors
@@ -88,6 +89,29 @@ class TestNearestNeighbors:
         result = nearest_neighbors(np.array([2.0, 0.0]), space, k=4)
         assert result.tokens == ["t0001", "t0002", "t0003", "t0000"]
 
+    def test_differences_below_float32_resolution_ranked_exactly(self):
+        # float32 rounds all six similarities to the same value; the float64
+        # order puts the highest index first
+        space = space_from([[1.0, j * 1e-9] for j in range(6)])
+        v = np.array([0.5, 1.0])
+        oracle = brute_force_neighbors(v, space.vectors, 3)
+        assert [i for i, _ in oracle] == [5, 4, 3]
+        result = nearest_neighbors(v, space, k=3)
+        assert result.tokens == ["t0005", "t0004", "t0003"]
+        for (_, got), (_, want) in zip(result.neighbors, oracle):
+            assert got == pytest.approx(want, abs=1e-15)
+
+    def test_k_beyond_vocabulary_returns_every_target(self):
+        rng = np.random.default_rng(5)
+        space = space_from(rng.normal(size=(30, 4)))
+        v = rng.normal(size=4)
+        result = nearest_neighbors(v, space, k=45)
+        oracle = brute_force_neighbors(v, space.vectors, 30)
+        assert result.tokens == [space.vocab.tokens[i] for i, _ in oracle]
+        idx, sims = similarity.topk(space.unit_vectors[:3], space.unit_vectors, 30)
+        assert idx.shape == sims.shape == (3, 30)
+        assert [sorted(row) for row in idx.tolist()] == [list(range(30))] * 3
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         space = space_from(rng.normal(size=(150, 12)))
@@ -126,6 +150,46 @@ class TestBatchQuery:
             )
             assert result.neighbors == single.neighbors
             assert result.query_token == token
+
+    def test_tie_groups_across_tile_boundaries_and_kth_rank(self, monkeypatch):
+        # four identical targets (1, 3, 5, 6) lead every ranking of the first
+        # source direction, so the k-th rank cuts through the tie group
+        tgt = space_from([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                          [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                          [1.0, 1.0, 0.0]])
+        src = space_from([[1.0, 0.9, 0.0]] * 5 + [[0.0, 0.2, 1.0]] * 2, prefix="s")
+        w = MappingMatrix(np.eye(3), "seeded", orthogonal=True)
+        tokens = [f"s{i:04d}" for i in range(7)]
+        # two query rows per float32 tile: tiles split both groups of
+        # identical queries
+        monkeypatch.setattr(similarity, "TILE_BYTES", 2 * 4 * len(tgt))
+        for k in (1, 2, 3, 4, 5, 7, 9):
+            batched = batch_query(tokens, w, src, tgt, k)
+            for token, result in zip(tokens, batched):
+                oracle = brute_force_neighbors(src.vector(token), tgt.vectors, k)
+                assert result.tokens == [tgt.vocab.tokens[i] for i, _ in oracle]
+                single = nearest_neighbors(src.vector(token), tgt, k, query_token=token)
+                assert result.neighbors == single.neighbors
+        assert batch_query(tokens[:1], w, src, tgt, 3)[0].tokens == [
+            "t0001", "t0003", "t0005"]
+
+    def test_matches_individual_queries_over_several_tiles(self):
+        # the module's own tile size; the query count is not a multiple of it
+        n_tgt = 2000
+        rows = similarity.TILE_BYTES // (4 * n_tgt)
+        n_src = 2 * rows + 7
+        rng = np.random.default_rng(8)
+        src = space_from(rng.normal(size=(n_src, 6)), prefix="s")
+        tgt = space_from(rng.normal(size=(n_tgt, 6)))
+        w = MappingMatrix(random_orthogonal(6, rng), "seeded", orthogonal=True)
+        tokens = list(src.vocab.tokens)
+        for k in (1, 7):
+            batched = batch_query(tokens, w, src, tgt, k)
+            for token, result in zip(tokens, batched):
+                single = nearest_neighbors(
+                    map_vector(w, src.vector(token)), tgt, k, query_token=token
+                )
+                assert result.neighbors == single.neighbors
 
 
 class TestQueryResult:

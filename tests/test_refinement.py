@@ -2,6 +2,7 @@
 
 import csv
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,23 @@ class TestCosineThresholdCandidates:
         pairs = candidates_cosine_threshold(np.eye(3), src, tgt, threshold=0.95)
         assert set(pairs) == {("s0000", "t0000"), ("s0001", "t0001"), ("s0002", "t0002")}
 
+    def test_never_allocates_a_full_similarity_matrix(self):
+        # a float64 n_src x n_tgt matrix here would take 103.7 MB
+        n, d = 3600, 8
+        rng = np.random.default_rng(9)
+        vecs = rng.normal(size=(n, d))
+        src = space_from(vecs, prefix="s")
+        tgt = space_from(vecs + 0.01 * rng.normal(size=(n, d)), prefix="t")
+        tgt.unit_vectors  # cached before measuring, as refine reuses it
+        tracemalloc.start()
+        try:
+            pairs = candidates_cosine_threshold(np.eye(d), src, tgt, threshold=0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
+        assert len(pairs) > n // 2
+
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -141,6 +159,26 @@ class TestRefine:
         assert np.linalg.norm(once.w - task.rotation) < 1e-8
         twice = refine(once, task.src, task.tgt, cfg)
         assert np.linalg.norm(twice.w - once.w) < 1e-10
+
+    def test_stops_when_candidates_repeat(self):
+        task = make_paired_task(n=300, dim=12, noise=0.0, n_seeds=40, n_truth=50, seed=4)
+        w2 = MappingMatrix(
+            task.rotation + 1e-3 * np.random.default_rng(0).normal(size=(12, 12)),
+            "adversarial",
+            orthogonal=False,
+        )
+        reports, outs = {}, {}
+        for patience in (1, 3):
+            cfg = RefineConfig(topk=300, threshold=0.7, mode="intersection",
+                               max_iters=10, patience=patience, selection_topk=300)
+            reports[patience] = []
+            outs[patience] = refine(w2, task.src, task.tgt, cfg, reports[patience])
+        steps = [(s.candidates, s.criterion) for s in reports[3][1:]]
+        # the last iteration repeats the one before it, and no earlier one does
+        assert len(steps) < 10
+        assert steps[-1] == steps[-2]
+        assert all(a != b for a, b in zip(steps[:-2], steps[1:-1]))
+        np.testing.assert_array_equal(outs[3].w, outs[1].w)
 
     def test_empty_candidates_warns_and_returns_baseline(self, caplog):
         rng = np.random.default_rng(5)
