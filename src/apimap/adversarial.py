@@ -22,6 +22,11 @@ from .similarity import topk, unit_rows
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-7
+MOMENTUM = 0.9
+# per-epoch learning-rate decay factor
+LR_DECAY = 0.95
+# rare-token embeddings are poor; sample batches from the frequent head only
+FREQ_CAP = 75000
 
 
 @dataclass
@@ -39,10 +44,6 @@ class AdvConfig:
     selection_topk: int = 1000
     rng_seed: int = 0
     hidden_dim: int = 2048
-    momentum: float = 0.9
-    lr_decay: float = 0.95
-    # rare-token embeddings are poor; sample batches from the frequent head only
-    freq_cap: int = 75000
     steps_per_epoch: int | None = None
 
     def __post_init__(self) -> None:
@@ -62,10 +63,6 @@ class AdvConfig:
             raise ValueError("selection_topk must be >= 1")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must be in (0, 1]")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ValueError("steps_per_epoch must be >= 1")
 
@@ -110,11 +107,6 @@ class Discriminator:
         z3 = (a2 @ self.weights[2].T + self.biases[2]).ravel()
         probs = 1.0 / (1.0 + np.exp(-z3))
         return probs, (v0, mask, z1, a1, z2, a2)
-
-    def predict(self, v: np.ndarray) -> np.ndarray:
-        """Probabilities without dropout (evaluation mode)."""
-        probs, _ = self._forward(np.atleast_2d(v), None)
-        return probs
 
     def _backward(self, dz3: np.ndarray, cache) -> tuple[list[np.ndarray], np.ndarray]:
         """Backprop from the logit gradient; returns (param grads, input grads)."""
@@ -315,8 +307,8 @@ def train_adversarial(
 
     rng = np.random.default_rng(cfg.rng_seed)
     disc = Discriminator(src.dim, cfg.hidden_dim, cfg.input_dropout, rng)
-    n_pool = min(cfg.freq_cap, len(src))
-    m_pool = min(cfg.freq_cap, len(tgt))
+    n_pool = min(FREQ_CAP, len(src))
+    m_pool = min(FREQ_CAP, len(tgt))
     steps = cfg.steps_per_epoch
     if steps is None:
         steps = max(1, math.ceil(max(len(src), len(tgt)) / cfg.batch_size))
@@ -341,7 +333,7 @@ def train_adversarial(
                 correct += int((probs[:bs] > 0.5).sum() + (probs[bs:] < 0.5).sum())
                 seen += 2 * bs
                 for param, grad, vel in zip(disc.params, grads, vel_disc):
-                    vel *= cfg.momentum
+                    vel *= MOMENTUM
                     vel += grad
                     param -= lr * vel
                 disc_losses.append(loss_d)
@@ -349,7 +341,7 @@ def train_adversarial(
             yb = tgt.vectors[rng.integers(0, m_pool, cfg.batch_size)]
             # the discriminator runs without dropout for the mapping update
             loss_w, d_w = mapping_gradient(disc, w, xb, yb, cfg.label_smoothing)
-            vel_w = cfg.momentum * vel_w + d_w
+            vel_w = MOMENTUM * vel_w + d_w
             w -= lr * vel_w
             map_losses.append(loss_w)
             if not (math.isfinite(loss_d) and math.isfinite(loss_w)):
@@ -372,7 +364,7 @@ def train_adversarial(
         if criterion > best_criterion:
             best_criterion = criterion
             best_w = w.copy()
-        lr *= cfg.lr_decay
+        lr *= LR_DECAY
     return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=_is_orth(best_w))
 
 

@@ -18,34 +18,37 @@ from .errors import FormatError
 
 
 def _add_adversarial_flags(p: argparse.ArgumentParser) -> None:
+    d = adversarial.AdvConfig
     g = p.add_argument_group("adversarial stage")
-    g.add_argument("--adv-epochs", type=int, default=5, help="adversarial epochs")
-    g.add_argument("--adv-batch", type=int, default=32, help="batch size per side")
-    g.add_argument("--adv-lr", type=float, default=0.02,
+    g.add_argument("--adv-epochs", type=int, default=d.epochs, help="adversarial epochs")
+    g.add_argument("--adv-batch", type=int, default=d.batch_size, help="batch size per side")
+    g.add_argument("--adv-lr", type=float, default=d.learning_rate,
                    help="momentum-SGD learning rate")
-    g.add_argument("--adv-hidden", type=int, default=2048,
+    g.add_argument("--adv-hidden", type=int, default=d.hidden_dim,
                    help="discriminator hidden width")
-    g.add_argument("--adv-disc-steps", type=int, default=5,
+    g.add_argument("--adv-disc-steps", type=int, default=d.disc_steps_per_map_step,
                    help="discriminator updates per mapping update")
-    g.add_argument("--adv-smoothing", type=float, default=0.2, help="label smoothing")
-    g.add_argument("--adv-dropout", type=float, default=0.1,
+    g.add_argument("--adv-smoothing", type=float, default=d.label_smoothing,
+                   help="label smoothing")
+    g.add_argument("--adv-dropout", type=float, default=d.input_dropout,
                    help="discriminator input dropout")
-    g.add_argument("--adv-steps-per-epoch", type=int, default=None,
+    g.add_argument("--adv-steps-per-epoch", type=int, default=d.steps_per_epoch,
                    help="cycles per epoch (default: vocab size / batch)")
-    g.add_argument("--selection-topk", type=int, default=1000,
+    g.add_argument("--selection-topk", type=int, default=d.selection_topk,
                    help="most-frequent source tokens scored by the selection criterion")
 
 
 def _add_refinement_flags(p: argparse.ArgumentParser) -> None:
+    d = refinement.RefineConfig
     g = p.add_argument_group("refinement stage")
-    g.add_argument("--refine-topk", type=int, default=500,
+    g.add_argument("--refine-topk", type=int, default=d.topk,
                    help="frequent source tokens used for candidate pairs")
-    g.add_argument("--refine-threshold", type=float, default=0.7,
+    g.add_argument("--refine-threshold", type=float, default=d.threshold,
                    help="cosine threshold for the similarity candidate heuristic")
     g.add_argument("--refine-mode", choices=["union", "intersection"],
-                   default="intersection", help="candidate set combination")
-    g.add_argument("--refine-iters", type=int, default=5, help="maximum iterations")
-    g.add_argument("--refine-patience", type=int, default=1,
+                   default=d.mode, help="candidate set combination")
+    g.add_argument("--refine-iters", type=int, default=d.max_iters, help="maximum iterations")
+    g.add_argument("--refine-patience", type=int, default=d.patience,
                    help="iterations without improvement before stopping")
     g.add_argument("--no-mutual-nn", action="store_true",
                    help="disable the mutual-nearest-neighbor candidate filter")
@@ -107,8 +110,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
-    cfg = embedding.TrainConfig(
+def _train_config(args: argparse.Namespace) -> embedding.TrainConfig:
+    return embedding.TrainConfig(
         dim=args.dim,
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -119,7 +122,10 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         workers=args.workers,
         rng_seed=args.seed,
     )
-    space = embedding.train_skipgram(corpus.read_corpus(args.corpus), cfg)
+
+
+def _cmd_embed(args: argparse.Namespace) -> int:
+    space = embedding.train_skipgram(corpus.read_corpus(args.corpus), _train_config(args))
     embedding.save_space(space, args.out)
     print(f"trained {len(space)} x {space.dim} embedding space -> {args.out}")
     return 0
@@ -295,20 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncate method signatures to package and class")
     p.set_defaults(func=_cmd_normalize)
 
+    d = embedding.TrainConfig
     p = sub.add_parser("embed", help="train skip-gram embeddings", **fmt)
     p.add_argument("--corpus", required=True, help="normalized corpus file")
     p.add_argument("--out", required=True, help="embedding output path")
-    p.add_argument("--dim", type=int, default=300, help="embedding dimension")
-    p.add_argument("--epochs", type=int, default=5, help="training passes")
-    p.add_argument("--lr", type=float, default=0.025, help="initial learning rate")
-    p.add_argument("--negatives", type=int, default=30, help="negative samples per pair")
-    p.add_argument("--window", type=int, default=10, help="maximum context window")
-    p.add_argument("--subsample", type=float, default=1e-4,
+    p.add_argument("--dim", type=int, default=d.dim, help="embedding dimension")
+    p.add_argument("--epochs", type=int, default=d.epochs, help="training passes")
+    p.add_argument("--lr", type=float, default=d.learning_rate, help="initial learning rate")
+    p.add_argument("--negatives", type=int, default=d.negatives,
+                   help="negative samples per pair")
+    p.add_argument("--window", type=int, default=d.window, help="maximum context window")
+    p.add_argument("--subsample", type=float, default=d.subsample,
                    help="frequent-token subsampling rate")
-    p.add_argument("--min-count", type=int, default=1, help="minimum token count")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--min-count", type=int, default=d.min_count, help="minimum token count")
+    p.add_argument("--workers", type=int, default=d.workers,
                    help="training threads; 1 guarantees reproducibility")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=int, default=d.rng_seed, help="RNG seed")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("seeds", help="mine signature-matched seed pairs", **fmt)

@@ -3,17 +3,19 @@
 The trainer is a plain numpy implementation of skip-gram with negative
 sampling: frequent-token subsampling, unigram^0.75 negative distribution,
 per-center context windows sampled uniformly in [1, window], and linear
-learning-rate decay. Single-worker runs are bit-reproducible given a seed;
-multi-worker runs update shared weights without locks and trade determinism
-for throughput.
+learning-rate decay. The trainer applies ``sgns_step``, the gradient that
+the tests check against ``sgns_loss``. Single-worker runs are bit-reproducible
+given a seed; multi-worker runs train one shard of lines per thread, update
+the shared weights without locks and trade determinism for throughput.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -114,28 +116,35 @@ def subsample_keep_probs(counts: np.ndarray, subsample: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
-def sgns_step(
-    center_vec: np.ndarray, output_vecs: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradients for one negative-sampling step.
+def sgns_loss(
+    centers: np.ndarray, outputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> float:
+    """Weighted negative-sampling loss of a batch of steps.
 
-    ``output_vecs`` stacks the positive context row (label 1) and the negative
-    rows (label 0). Returns ``(loss, grad_center, grad_outputs)`` for the loss
-    -sum(label*log sigma(u.v) + (1-label)*log sigma(-u.v)).
+    Step b scores ``centers[b]`` (d,) against ``outputs[b]`` (K, d): the
+    positive context row (label 1) and the negative rows (label 0). The loss is
+    -sum(weight * (label*log sigma(u.v) + (1-label)*log sigma(-u.v))); this is
+    the reference that ``sgns_step`` differentiates.
     """
-    scores = output_vecs @ center_vec
+    scores = (outputs @ centers[:, :, None])[:, :, 0]
     # log sigma(z) = -logaddexp(0, -z), stable for large |z|
-    loss = float(
-        np.sum(
-            labels * np.logaddexp(0.0, -scores)
-            + (1.0 - labels) * np.logaddexp(0.0, scores)
-        )
-    )
-    probs = 1.0 / (1.0 + np.exp(-scores))
-    residual = probs - labels
-    grad_center = residual @ output_vecs
-    grad_outputs = np.outer(residual, center_vec)
-    return loss, grad_center, grad_outputs
+    nll = labels * np.logaddexp(0.0, -scores) + (1.0 - labels) * np.logaddexp(0.0, scores)
+    return float(np.sum(weights * nll))
+
+
+def sgns_step(
+    centers: np.ndarray, outputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``sgns_loss`` for a batch of steps.
+
+    Returns ``(grad_centers, grad_outputs)`` shaped like ``centers`` (B, d)
+    and ``outputs`` (B, K, d). A zero weight makes its row inert.
+    """
+    scores = (outputs @ centers[:, :, None])[:, :, 0]
+    residual = (1.0 / (1.0 + np.exp(-scores)) - labels) * weights
+    grad_centers = (residual[:, None, :] @ outputs)[:, 0, :]
+    grad_outputs = residual[:, :, None] * centers[:, None, :]
+    return grad_centers, grad_outputs
 
 
 class _NegativeTable:
@@ -150,51 +159,52 @@ class _NegativeTable:
         return np.searchsorted(self.cum, rng.random(k) * self.total)
 
 
+def _window_pairs(spans: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) of every center i and context j with 0 < |j - i| <= spans[i].
+
+    Pairs come center-major with contexts ascending.
+    """
+    offsets = np.arange(-window, window + 1)
+    near = np.abs(offsets) <= spans[:, None]
+    near[:, window] = False  # a token is not its own context
+    i, k = np.nonzero(near)
+    j = i + offsets[k]
+    inside = (j >= 0) & (j < len(spans))
+    return i[inside], j[inside]
+
+
 def _train_shard(
     lines: list[np.ndarray],
+    rng: np.random.Generator,
+    done: int,
+    *,
     syn_in: np.ndarray,
     syn_out: np.ndarray,
     keep: np.ndarray,
     table: _NegativeTable,
     cfg: TrainConfig,
-    rng: np.random.Generator,
     total_words: int,
-    progress: list[int],
-) -> None:
-    """One full pass over a shard of encoded lines, updating shared weights.
+) -> int:
+    """One pass over a shard of encoded lines, updating the shared weights.
 
-    All (center, context) pairs of one line are updated together from the
-    weights at the start of the line; this batches the tiny per-pair numpy
-    calls without affecting seeded reproducibility.
+    ``done`` counts the shard's words trained so far; scaled by the number of
+    shards it stands for the run's progress in the learning-rate decay. All
+    (center, context) pairs of one line are updated together from the weights
+    at the start of the line. Returns the new ``done``.
     """
-    alpha = cfg.learning_rate
     for line in lines:
-        progress[0] += len(line)
+        done += len(line)
         alpha = max(
             MIN_LEARNING_RATE,
-            cfg.learning_rate * (1.0 - progress[0] / (total_words + 1)),
+            cfg.learning_rate * (1.0 - done * cfg.workers / (total_words + 1)),
         )
         if len(line) < 2:
             continue
-        mask = rng.random(len(line)) < keep[line]
-        kept = line[mask]
-        n = len(kept)
-        if n < 2:
+        kept = line[rng.random(len(line)) < keep[line]]
+        if len(kept) < 2:
             continue
-        spans = rng.integers(1, cfg.window + 1, size=n)
-        centers_list = []
-        contexts_list = []
-        for i in range(n):
-            lo = max(0, i - spans[i])
-            hi = min(n, i + spans[i] + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    centers_list.append(kept[i])
-                    contexts_list.append(kept[j])
-        if not centers_list:
-            continue
-        centers = np.asarray(centers_list)
-        contexts = np.asarray(contexts_list)
+        i, j = _window_pairs(rng.integers(1, cfg.window + 1, size=len(kept)), cfg.window)
+        centers, contexts = kept[i], kept[j]
         pairs = len(centers)
 
         negatives = table.draw(rng, pairs * cfg.negatives).reshape(pairs, cfg.negatives)
@@ -211,14 +221,10 @@ def _train_shard(
         weights = np.ones(targets.shape)
         weights[:, 1:][negatives == contexts[:, None]] = 0.0
 
-        v = syn_in[centers]
-        u = syn_out[targets]
-        scores = (u @ v[:, :, None])[:, :, 0]
-        residual = (1.0 / (1.0 + np.exp(-scores)) - labels) * weights
-        grad_centers = (residual[:, None, :] @ u)[:, 0, :]
-        grad_outputs = residual[:, :, None] * v[:, None, :]
+        grad_centers, grad_outputs = sgns_step(syn_in[centers], syn_out[targets], labels, weights)
         np.add.at(syn_out, targets.ravel(), -alpha * grad_outputs.reshape(-1, syn_out.shape[1]))
         np.add.at(syn_in, centers, -alpha * grad_centers)
+    return done
 
 
 def train_skipgram(corpus: Iterable[CodeSequence], cfg: TrainConfig) -> EmbeddingSpace:
@@ -238,41 +244,25 @@ def train_skipgram(corpus: Iterable[CodeSequence], cfg: TrainConfig) -> Embeddin
         raise ValueError("no context pairs in corpus")
 
     counts = np.asarray(vocab.counts, dtype=np.float64)
-    keep = subsample_keep_probs(counts, cfg.subsample)
-    table = _NegativeTable(counts)
-
     rng = np.random.default_rng(cfg.rng_seed)
     syn_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     syn_out = np.zeros((len(vocab), cfg.dim))
 
-    total_words = sum(len(line) for line in lines) * cfg.epochs
-    progress = [0]
-    for _ in range(cfg.epochs):
-        if cfg.workers == 1:
-            _train_shard(lines, syn_in, syn_out, keep, table, cfg, rng, total_words, progress)
-        else:
-            shards = [lines[w :: cfg.workers] for w in range(cfg.workers)]
-            threads = [
-                threading.Thread(
-                    target=_train_shard,
-                    args=(
-                        shard,
-                        syn_in,
-                        syn_out,
-                        keep,
-                        table,
-                        cfg,
-                        np.random.default_rng((cfg.rng_seed, w)),
-                        total_words,
-                        progress,
-                    ),
-                )
-                for w, shard in enumerate(shards)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+    shards = [lines[w :: cfg.workers] for w in range(cfg.workers)]
+    # one worker keeps drawing from the generator that initialized the weights
+    rngs = [rng] if cfg.workers == 1 else [
+        np.random.default_rng((cfg.rng_seed, w)) for w in range(cfg.workers)
+    ]
+    train = partial(
+        _train_shard, syn_in=syn_in, syn_out=syn_out,
+        keep=subsample_keep_probs(counts, cfg.subsample), table=_NegativeTable(counts),
+        cfg=cfg, total_words=sum(len(line) for line in lines) * cfg.epochs,
+    )
+    done = [0] * cfg.workers
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        for _ in range(cfg.epochs):
+            # consuming the results re-raises a worker's exception here
+            done = list(pool.map(train, shards, rngs, done))
     return EmbeddingSpace(syn_in, vocab)
 
 
@@ -358,6 +348,7 @@ __all__ = [
     "TrainConfig",
     "EmbeddingSpace",
     "train_skipgram",
+    "sgns_loss",
     "sgns_step",
     "subsample_keep_probs",
     "save_space",

@@ -114,10 +114,6 @@ class EvalReport:
 
     config: dict = field(default_factory=dict)
     topk: dict[int, float] = field(default_factory=dict)
-    precision: float | None = None
-    recall: float | None = None
-    f: float | None = None
-    coverage: list[CoverageRow] | None = None
     oov_misses: int = 0
 
 

@@ -25,7 +25,7 @@ from .seeding import (
     seed_matrices,
     solve_procrustes,
 )
-from .similarity import pair_sims, topk, unit_rows
+from .similarity import topk, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -122,26 +122,6 @@ def combine_candidates(
     raise ValueError("mode must be 'union' or 'intersection'")
 
 
-def _dedup_by_source(
-    pairs: SeedDictionary,
-    w: np.ndarray,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-) -> SeedDictionary:
-    """Keep one pair per source token, the one with the highest similarity,
-    so the re-solve is not dominated by a single hub."""
-    src_idx = np.array([src.vocab.index(s) for s, _ in pairs], dtype=np.int64)
-    tgt_idx = np.array([tgt.vocab.index(t) for _, t in pairs], dtype=np.int64)
-    mapped = unit_rows(_mapped(w, src.vectors[src_idx]))
-    sims = pair_sims(mapped, tgt.unit_vectors, np.arange(len(pairs)), tgt_idx)
-    # insertion order keeps each source at its first appearance
-    best: dict[str, tuple[float, str]] = {}
-    for (s, t), sim in zip(pairs, sims.tolist()):
-        if s not in best or sim > best[s][0]:
-            best[s] = (sim, t)
-    return SeedDictionary(tuple((s, t) for s, (_, t) in best.items()))
-
-
 @dataclass
 class RefineStep:
     """Per-iteration report row."""
@@ -207,7 +187,6 @@ def refine(
         by_freq = candidates_topk_frequency(current, src, tgt, cfg.topk, cfg.mutual_nn)
         by_sim = candidates_cosine_threshold(current, src, tgt, cfg.threshold)
         combined = combine_candidates(by_freq, by_sim, cfg.mode)
-        combined = _dedup_by_source(combined, current, src, tgt)
         if len(combined) == 0:
             log.warning(
                 "refinement stopped at iteration %d: empty candidate set", iteration

@@ -5,8 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from apimap import cli
+from apimap.adversarial import AdvConfig
 from apimap.cli import main
-from apimap.embedding import load_space
+from apimap.embedding import TrainConfig, load_space
+from apimap.refinement import RefineConfig
 
 from helpers import make_paired_task
 
@@ -349,3 +352,14 @@ class TestExitCodes:
 
     def test_no_args_exits_2(self):
         assert run() == 2
+
+
+class TestDefaults:
+    def test_parsed_defaults_equal_config_defaults(self):
+        parser = cli.build_parser()
+        embed = parser.parse_args(["embed", "--corpus", "c", "--out", "o"])
+        assert cli._train_config(embed) == TrainConfig()
+        for argv in (["align", "--out-matrix", "w"], ["eval", "--matrix", "w", "--truth", "g"]):
+            args = parser.parse_args([*argv, "--src-emb", "s", "--tgt-emb", "t"])
+            assert cli._adv_config(args) == AdvConfig()
+            assert cli._ref_config(args) == RefineConfig()

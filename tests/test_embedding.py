@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from apimap import embedding
 from apimap.corpus import Vocabulary
 from apimap.embedding import (
     EmbeddingSpace,
     TrainConfig,
+    _window_pairs,
     load_space,
     save_space,
+    sgns_loss,
     sgns_step,
     subsample_keep_probs,
     train_skipgram,
@@ -76,30 +79,81 @@ class TestTrainSkipgram:
         assert np.all(np.isfinite(space.vectors))
         assert len(space) == len(space.vocab)
 
+    def test_each_worker_draws_fresh_randomness_every_epoch(self, monkeypatch):
+        # generator state at the start of each (worker, epoch) shard pass
+        states: dict[int, list] = {}
+        train_shard = embedding._train_shard
+
+        def spy(shard, *args, **kwargs):
+            rng = next(a for a in (*args, *kwargs.values())
+                       if isinstance(a, np.random.Generator))
+            states.setdefault(id(shard[0]), []).append(rng.bit_generator.state)
+            return train_shard(shard, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "_train_shard", spy)
+        cfg = TrainConfig(dim=8, epochs=2, negatives=2, window=1, subsample=1.0,
+                          workers=2, rng_seed=1)
+        train_skipgram(planted_corpus(n_lines=50), cfg)
+        assert len(states) == 2
+        for epoch1, epoch2 in states.values():
+            assert epoch1 != epoch2
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("shard failed")
+
+        monkeypatch.setattr(embedding, "_train_shard", broken)
+        cfg = TrainConfig(dim=8, epochs=1, negatives=2, window=1, workers=2)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            train_skipgram(planted_corpus(n_lines=50), cfg)
+
+
+class TestWindowPairs:
+    @staticmethod
+    def loop_oracle(spans):
+        n = len(spans)
+        pairs = []
+        for i in range(n):
+            for j in range(max(0, i - spans[i]), min(n, i + spans[i] + 1)):
+                if j != i:
+                    pairs.append((i, j))
+        return pairs
+
+    @pytest.mark.parametrize("window", [1, 2, 10])
+    def test_matches_per_centre_loop(self, window):
+        rng = np.random.default_rng(window)
+        for n in (2, 3, window + 1, 40):
+            for _ in range(5):
+                spans = rng.integers(1, window + 1, size=n)
+                i, j = _window_pairs(spans, window)
+                assert list(zip(i.tolist(), j.tolist())) == self.loop_oracle(spans)
+
 
 class TestSgnsGradient:
     def test_matches_central_finite_differences(self):
+        # a batch of 3 steps, one positive and 5 negatives each, one of them
+        # zero-weighted as the trainer does for a negative equal to its context
         rng = np.random.default_rng(5)
         eps = 1e-5
-        for _ in range(5):
-            v = rng.normal(size=10) * 0.5
-            u = rng.normal(size=(6, 10)) * 0.5
-            labels = np.zeros(6)
-            labels[0] = 1.0
-            _, grad_v, grad_u = sgns_step(v, u, labels)
-            for i in range(10):
-                vp, vm = v.copy(), v.copy()
-                vp[i] += eps
-                vm[i] -= eps
-                fd = (sgns_step(vp, u, labels)[0] - sgns_step(vm, u, labels)[0]) / (2 * eps)
-                assert abs(fd - grad_v[i]) <= 1e-4 * max(abs(fd), abs(grad_v[i]), 1e-8)
-            for r in range(6):
-                for c in range(0, 10, 3):
-                    up, um = u.copy(), u.copy()
-                    up[r, c] += eps
-                    um[r, c] -= eps
-                    fd = (sgns_step(v, up, labels)[0] - sgns_step(v, um, labels)[0]) / (2 * eps)
-                    assert abs(fd - grad_u[r, c]) <= 1e-4 * max(abs(fd), abs(grad_u[r, c]), 1e-8)
+        v = rng.normal(size=(3, 10)) * 0.5
+        u = rng.normal(size=(3, 6, 10)) * 0.5
+        labels = np.zeros((3, 6))
+        labels[:, 0] = 1.0
+        weights = np.ones((3, 6))
+        weights[1, 4] = 0.0
+        grad_v, grad_u = sgns_step(v, u, labels, weights)
+        assert grad_v.shape == v.shape and grad_u.shape == u.shape
+        for x, grad in ((v, grad_v), (u, grad_u)):
+            for idx in np.ndindex(x.shape):
+                saved = x[idx]
+                x[idx] = saved + eps
+                up = sgns_loss(v, u, labels, weights)
+                x[idx] = saved - eps
+                down = sgns_loss(v, u, labels, weights)
+                x[idx] = saved
+                fd = (up - down) / (2 * eps)
+                assert abs(fd - grad[idx]) <= 1e-4 * max(abs(fd), abs(grad[idx]), 1e-8)
+        np.testing.assert_array_equal(grad_u[1, 4], 0.0)
 
 
 class TestSubsampling:

@@ -302,5 +302,4 @@ class TestGroundTruth:
 class TestEvalReport:
     def test_defaults(self):
         report = EvalReport(config={"x": 1}, topk={1: 0.5})
-        assert report.precision is None
         assert report.topk[1] == 0.5

@@ -18,7 +18,13 @@ from apimap.refinement import (
     refine,
     write_refine_report,
 )
-from apimap.seeding import MappingMatrix, SeedDictionary, random_orthogonal
+from apimap.seeding import (
+    MappingMatrix,
+    SeedDictionary,
+    random_orthogonal,
+    seed_matrices,
+    solve_procrustes,
+)
 
 from conftest import refine_config
 from helpers import make_paired_task, oracle_top1
@@ -125,6 +131,23 @@ class TestCombineCandidates:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             combine_candidates(self.A, self.B, "xor")
+
+    @pytest.mark.parametrize("mutual_nn", [True, False])
+    def test_each_source_at_most_once(self, mutual_nn):
+        # both heuristics take a source's nearest neighbour under the same W,
+        # so neither combination can pair one source with two targets
+        task = make_paired_task(n=400, dim=12, seed=2, decoy_frac=0.2)
+        w = solve_procrustes(*seed_matrices(task.seeds, task.src, task.tgt)).w
+        w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
+        assert not np.allclose(w.T @ w, np.eye(12))
+        by_freq = candidates_topk_frequency(w, task.src, task.tgt, 200, mutual_nn)
+        by_sim = candidates_cosine_threshold(w, task.src, task.tgt, 0.6)
+        union = combine_candidates(by_freq, by_sim, "union")
+        inter = combine_candidates(by_freq, by_sim, "intersection")
+        assert len(union) > len(inter) > 0
+        for combined in (union, inter):
+            sources = [s for s, _ in combined]
+            assert len(sources) == len(set(sources))
 
 
 class TestRefine:
