@@ -67,79 +67,147 @@ class AdvConfig:
             raise ValueError("steps_per_epoch must be >= 1")
 
 
+class _StepBuffers:
+    """Work arrays of one batch shape, overwritten by every pass over that shape.
+
+    Rows are the mapped sources first, then the targets; ``a`` and ``s`` are a
+    layer's activations and its leaky-rectifier slopes (exactly 1.0 or
+    LEAKY_SLOPE), so ``a = z * s`` and the backward pass multiplies by ``s``.
+    """
+
+    def __init__(self, n_src: int, n_tgt: int, dim: int, hidden: int):
+        n = n_src + n_tgt
+        self.shape = (n_src, n_tgt)
+        self.v = np.empty((n, dim))  # network input, scaled in place by dropout
+        self.mask = np.empty((n, dim))  # dropout scale: 0 or 1 / (1 - p)
+        self.dropped = False
+        self.a1, self.s1, self.a2, self.s2 = (np.empty((n, hidden)) for _ in range(4))
+        self.logits = np.empty((n, 1))
+        self.probs = self.logits.reshape(-1)  # the sigmoid overwrites the logits
+        self.target = np.empty(n)
+        self.other = np.empty(n)  # 1 - target
+        self.side = np.repeat(np.array([n_src, n_tgt], dtype=np.float64), [n_src, n_tgt])
+        self.nll = np.empty(n)
+        self.log1m = np.empty(n)
+        self.dz3 = np.empty(n)
+        self.dz2 = np.empty((n, hidden))
+        self.dz1 = np.empty((n, hidden))
+        self.d_input = np.empty((n, dim))
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos:pos + size].reshape(shape))
+        pos += size
+    return views
+
+
 class Discriminator:
     """Two-hidden-layer leaky-rectifier MLP emitting P(vector is mapped source).
 
-    Holds plain numpy parameters; forward/backward passes are explicit so
-    gradients can be checked against finite differences.
+    The six parameters live in one flat float64 array, ``flat_params``;
+    ``params`` (and its ``weights``/``biases`` split) are views into it, so an
+    in-place write such as ``disc.weights[0][:] = 0`` changes the parameters
+    that train, and the optimizer updates all of them in one operation.
+    ``flat_grads`` has the same layout, with ``grads`` its views;
+    ``discriminator_gradients`` writes it. Forward/backward passes are
+    explicit so gradients can be checked against finite differences, and
+    write into work arrays kept for the latest batch shape.
     """
 
     def __init__(self, dim: int, hidden: int = 2048, input_dropout: float = 0.1,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dropout = input_dropout
-        sizes = [(hidden, dim), (hidden, hidden), (1, hidden)]
-        self.weights = []
-        self.biases = []
-        for fan_out, fan_in in sizes:
-            bound = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden,), (1, hidden), (1,)]
+        size = sum(math.prod(shape) for shape in shapes)
+        self.flat_params = np.empty(size)
+        self.flat_grads = np.zeros(size)
+        self.params = _views(self.flat_params, shapes)
+        self.grads = _views(self.flat_grads, shapes)
+        self.weights = self.params[0::2]
+        self.biases = self.params[1::2]
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / math.sqrt(w.shape[1])
+            w[:] = rng.uniform(-bound, bound, size=w.shape)
+            b[:] = rng.uniform(-bound, bound, size=b.shape)
+        self._buf: _StepBuffers | None = None
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.weights[0], self.biases[0],
-                self.weights[1], self.biases[1],
-                self.weights[2], self.biases[2]]
+    def _forward(self, m: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 dropout_rng: np.random.Generator | None) -> _StepBuffers:
+        """Probabilities of the rows ``x @ m.T`` then ``y``, in ``buf.probs``."""
+        n_src = x.shape[0]
+        buf = self._buf
+        if buf is None or buf.shape != (n_src, y.shape[0]):
+            hidden, dim = self.weights[0].shape
+            buf = self._buf = _StepBuffers(n_src, y.shape[0], dim, hidden)
+        v = buf.v
+        np.matmul(x, m.T, out=v[:n_src])
+        v[n_src:] = y
+        buf.dropped = dropout_rng is not None and self.input_dropout > 0
+        if buf.dropped:
+            dropout_rng.random(out=buf.mask)
+            np.greater_equal(buf.mask, self.input_dropout, out=buf.mask)
+            buf.mask /= 1.0 - self.input_dropout
+            v *= buf.mask
+        a_in = v
+        for w, b, a, s in ((self.weights[0], self.biases[0], buf.a1, buf.s1),
+                           (self.weights[1], self.biases[1], buf.a2, buf.s2)):
+            np.matmul(a_in, w.T, out=a)
+            a += b
+            np.greater(a, 0.0, out=s)
+            s *= 1.0 - LEAKY_SLOPE
+            s += LEAKY_SLOPE
+            a *= s
+            a_in = a
+        z = buf.logits
+        np.matmul(a_in, self.weights[2].T, out=z)
+        z += self.biases[2]
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        return buf
 
-    def _forward(self, v: np.ndarray, dropout_rng: np.random.Generator | None):
-        if dropout_rng is not None and self.input_dropout > 0:
-            mask = (dropout_rng.random(v.shape) >= self.input_dropout) / (
-                1.0 - self.input_dropout
-            )
-        else:
-            mask = None
-        v0 = v * mask if mask is not None else v
-        z1 = v0 @ self.weights[0].T + self.biases[0]
-        a1 = np.where(z1 > 0, z1, LEAKY_SLOPE * z1)
-        z2 = a1 @ self.weights[1].T + self.biases[1]
-        a2 = np.where(z2 > 0, z2, LEAKY_SLOPE * z2)
-        z3 = (a2 @ self.weights[2].T + self.biases[2]).ravel()
-        probs = 1.0 / (1.0 + np.exp(-z3))
-        return probs, (v0, mask, z1, a1, z2, a2)
+    def _backward(self, buf: _StepBuffers) -> None:
+        """Loss gradient with respect to the logits (``buf.dz3``) and to both
+        hidden layers' pre-activations (``buf.dz2``, ``buf.dz1``), all rows."""
+        np.subtract(buf.probs, buf.target, out=buf.dz3)
+        buf.dz3 /= buf.side
+        dz2 = np.matmul(buf.dz3[:, None], self.weights[2], out=buf.dz2)
+        dz2 *= buf.s2
+        dz1 = np.matmul(dz2, self.weights[1], out=buf.dz1)
+        dz1 *= buf.s1
 
-    def _backward(self, dz3: np.ndarray, cache) -> tuple[list[np.ndarray], np.ndarray]:
-        """Backprop from the logit gradient; returns (param grads, input grads)."""
-        v0, mask, z1, a1, z2, a2 = cache
-        dz3_col = dz3[:, None]
-        d_w3 = dz3_col.T @ a2
-        d_b3 = np.array([dz3.sum()])
-        da2 = dz3_col @ self.weights[2]
-        dz2 = da2 * np.where(z2 > 0, 1.0, LEAKY_SLOPE)
-        d_w2 = dz2.T @ a1
-        d_b2 = dz2.sum(axis=0)
-        da1 = dz2 @ self.weights[1]
-        dz1 = da1 * np.where(z1 > 0, 1.0, LEAKY_SLOPE)
-        d_w1 = dz1.T @ v0
-        d_b1 = dz1.sum(axis=0)
-        d_input = dz1 @ self.weights[0]
-        if mask is not None:
-            d_input = d_input * mask
-        return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3], d_input
+    def _param_grads(self, buf: _StepBuffers) -> None:
+        """Parameter gradients into ``flat_grads``, after ``_backward``."""
+        d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = self.grads
+        np.matmul(buf.dz3[:, None].T, buf.a2, out=d_w3)
+        d_b3[0] = buf.dz3.sum()
+        np.matmul(buf.dz2.T, buf.a1, out=d_w2)
+        np.sum(buf.dz2, axis=0, out=d_b2)
+        np.matmul(buf.dz1.T, buf.v, out=d_w1)
+        np.sum(buf.dz1, axis=0, out=d_b1)
+
+    def _input_grad(self, buf: _StepBuffers) -> np.ndarray:
+        """Gradient with respect to every input row, after ``_backward``."""
+        d_input = np.matmul(buf.dz1, self.weights[0], out=buf.d_input)
+        if buf.dropped:
+            d_input *= buf.mask
+        return d_input
 
 
-def _bce(probs: np.ndarray, target: float) -> float:
-    """Mean binary cross-entropy against a (possibly smoothed) scalar target."""
-    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    return float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))))
+def _matrix(w: MappingMatrix | np.ndarray) -> np.ndarray:
+    return w.w if isinstance(w, MappingMatrix) else np.asarray(w)
 
 
 def _mapped(w: MappingMatrix | np.ndarray, x_batch: np.ndarray) -> np.ndarray:
-    m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)
-    return np.atleast_2d(x_batch) @ m.T
+    return np.atleast_2d(x_batch) @ _matrix(w).T
 
 
-def _two_sided_loss_and_grads(
+def _two_sided_loss(
     disc: Discriminator,
     w,
     x_batch: np.ndarray,
@@ -147,21 +215,31 @@ def _two_sided_loss_and_grads(
     target_mapped: float,
     target_real: float,
     dropout_rng: np.random.Generator | None,
-):
-    """Shared forward/backward: per-side mean BCE, summed over the two sides."""
-    mapped = _mapped(w, x_batch)
-    y_batch = np.atleast_2d(y_batch)
-    n_src, n_tgt = mapped.shape[0], y_batch.shape[0]
-    if n_src == 0 or n_tgt == 0:
+) -> tuple[float, _StepBuffers]:
+    """Shared forward pass: per-side mean BCE, summed over the two sides.
+
+    The binary cross-entropy against the (possibly smoothed) targets is taken
+    on probabilities clamped away from {0, 1}.
+    """
+    x, y = np.atleast_2d(x_batch), np.atleast_2d(y_batch)
+    n_src = x.shape[0]
+    if n_src == 0 or y.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    v = np.vstack([mapped, y_batch])
-    probs, cache = disc._forward(v, dropout_rng)
-    p_src, p_tgt = probs[:n_src], probs[n_src:]
-    loss = _bce(p_src, target_mapped) + _bce(p_tgt, target_real)
-    dz3 = np.empty(n_src + n_tgt)
-    dz3[:n_src] = (p_src - target_mapped) / n_src
-    dz3[n_src:] = (p_tgt - target_real) / n_tgt
-    return loss, probs, dz3, cache, mapped
+    buf = disc._forward(_matrix(w), x, y, dropout_rng)
+    t, other, nll, log1m = buf.target, buf.other, buf.nll, buf.log1m
+    t[:n_src] = target_mapped
+    t[n_src:] = target_real
+    np.subtract(1.0, t, out=other)
+    p = np.clip(buf.probs, PROB_EPS, 1.0 - PROB_EPS, out=nll)
+    np.subtract(1.0, p, out=log1m)
+    np.log(p, out=nll)
+    nll *= t
+    np.log(log1m, out=log1m)
+    log1m *= other
+    nll += log1m
+    np.negative(nll, out=nll)
+    loss = float(nll[:n_src].mean()) + float(nll[n_src:].mean())
+    return loss, buf
 
 
 def discriminator_loss(
@@ -177,9 +255,7 @@ def discriminator_loss(
     label smoothing applied to the targets and probabilities clamped away from
     {0, 1} before the logs.
     """
-    loss, _, _, _, _ = _two_sided_loss_and_grads(
-        disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, None
-    )
+    loss, _ = _two_sided_loss(disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, None)
     return loss
 
 
@@ -191,9 +267,7 @@ def mapping_loss(
     smoothing: float = 0.0,
 ) -> float:
     """Mapping objective: the discriminator-fooling loss with flipped labels."""
-    loss, _, _, _, _ = _two_sided_loss_and_grads(
-        disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None
-    )
+    loss, _ = _two_sided_loss(disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None)
     return loss
 
 
@@ -205,15 +279,21 @@ def discriminator_gradients(
     smoothing: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Analytic gradients of the discriminator loss.
+    """Analytic gradients of the discriminator loss with respect to its parameters.
 
-    Returns (loss, gradients aligned with disc.params, probabilities).
+    Returns (loss, gradients aligned with disc.params, probabilities). The
+    gradients are ``disc.grads``, views into ``disc.flat_grads``, and are
+    overwritten by the next ``discriminator_gradients`` call on ``disc``; the
+    probabilities (mapped sources first) are a work array of ``disc``,
+    overwritten by its next loss or gradient call. Copy either to keep it.
+    The gradient with respect to the input is not computed.
     """
-    loss, probs, dz3, cache, _ = _two_sided_loss_and_grads(
+    loss, buf = _two_sided_loss(
         disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, dropout_rng
     )
-    grads, _ = disc._backward(dz3, cache)
-    return loss, grads, probs
+    disc._backward(buf)
+    disc._param_grads(buf)
+    return loss, disc.grads, buf.probs
 
 
 def mapping_gradient(
@@ -224,14 +304,20 @@ def mapping_gradient(
     smoothing: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Analytic gradient of the mapping loss with respect to W."""
-    loss, _, dz3, cache, _ = _two_sided_loss_and_grads(
+    """Analytic gradient of the mapping loss with respect to W.
+
+    Returns (loss, d_w); ``d_w`` is a new array that later calls leave alone.
+    The discriminator's parameter gradients are not computed, and
+    ``disc.flat_grads`` is untouched.
+    """
+    loss, buf = _two_sided_loss(
         disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, dropout_rng
     )
-    _, d_input = disc._backward(dz3, cache)
+    disc._backward(buf)
+    # W's gradient reads only the source rows, but every row is run: a row of
+    # a matrix product can round differently when computed among fewer rows
     x = np.atleast_2d(x_batch)
-    n_src = x.shape[0]
-    d_w = d_input[:n_src].T @ x
+    d_w = disc._input_grad(buf)[:x.shape[0]].T @ x
     return loss, d_w
 
 
@@ -313,8 +399,10 @@ def train_adversarial(
     if steps is None:
         steps = max(1, math.ceil(max(len(src), len(tgt)) / cfg.batch_size))
 
-    vel_disc = [np.zeros_like(p) for p in disc.params]
+    vel_disc = np.zeros_like(disc.flat_params)
+    step_disc = np.empty_like(vel_disc)
     vel_w = np.zeros_like(w)
+    step_w = np.empty_like(w)
     lr = cfg.learning_rate
 
     for epoch in range(1, cfg.epochs + 1):
@@ -326,23 +414,27 @@ def train_adversarial(
             for _ in range(cfg.disc_steps_per_map_step):
                 xb = src.vectors[rng.integers(0, n_pool, cfg.batch_size)]
                 yb = tgt.vectors[rng.integers(0, m_pool, cfg.batch_size)]
-                loss_d, grads, probs = discriminator_gradients(
+                # the gradients land in disc.flat_grads, in the layout of
+                # disc.flat_params, so one momentum update covers all six
+                loss_d, _, probs = discriminator_gradients(
                     disc, w, xb, yb, cfg.label_smoothing, dropout_rng=rng
                 )
                 bs = cfg.batch_size
                 correct += int((probs[:bs] > 0.5).sum() + (probs[bs:] < 0.5).sum())
                 seen += 2 * bs
-                for param, grad, vel in zip(disc.params, grads, vel_disc):
-                    vel *= MOMENTUM
-                    vel += grad
-                    param -= lr * vel
+                vel_disc *= MOMENTUM
+                vel_disc += disc.flat_grads
+                np.multiply(lr, vel_disc, out=step_disc)
+                disc.flat_params -= step_disc
                 disc_losses.append(loss_d)
             xb = src.vectors[rng.integers(0, n_pool, cfg.batch_size)]
             yb = tgt.vectors[rng.integers(0, m_pool, cfg.batch_size)]
             # the discriminator runs without dropout for the mapping update
             loss_w, d_w = mapping_gradient(disc, w, xb, yb, cfg.label_smoothing)
-            vel_w = MOMENTUM * vel_w + d_w
-            w -= lr * vel_w
+            vel_w *= MOMENTUM
+            vel_w += d_w
+            np.multiply(lr, vel_w, out=step_w)
+            w -= step_w
             map_losses.append(loss_w)
             if not (math.isfinite(loss_d) and math.isfinite(loss_w)):
                 raise DivergenceError(

@@ -57,6 +57,44 @@ class RefineConfig:
             raise ValueError("selection_topk must be >= 1")
 
 
+def _aligned_scan(
+    w: MappingMatrix | np.ndarray, src: EmbeddingSpace, tgt: EmbeddingSpace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every source mapped under W and unit-normalized, with its nearest target.
+
+    Returns ``(mapped_unit, nn, best)``: ``nn[i]`` and ``best[i]`` are the
+    nearest target of source i and their cosine. ``topk`` gives any subset of
+    rows the values it would give them alone, so both heuristics can read
+    this one scan.
+    """
+    mapped = unit_rows(_mapped(w, src.vectors))
+    nn, best = topk(mapped, tgt.unit_vectors, 1)
+    return mapped, nn[:, 0], best[:, 0]
+
+
+def _frequency_pairs(scan, src, tgt, k, mutual_nn) -> SeedDictionary:
+    mapped, nn, _ = scan
+    k = min(k, len(src))
+    nn = nn[:k]
+    keep = np.ones(k, dtype=bool)
+    if mutual_nn:
+        # best mapped source for each chosen target, searched over all sources
+        keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
+    return SeedDictionary(
+        tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in range(k) if keep[i])
+    )
+
+
+def _threshold_pairs(scan, src, tgt, threshold) -> SeedDictionary:
+    _, nn, best = scan
+    return SeedDictionary(
+        tuple(
+            (src.vocab.tokens[i], tgt.vocab.tokens[nn[i]])
+            for i in np.flatnonzero(best >= threshold)
+        )
+    )
+
+
 def candidates_topk_frequency(
     w: MappingMatrix | np.ndarray,
     src: EmbeddingSpace,
@@ -72,17 +110,7 @@ def candidates_topk_frequency(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    mapped = unit_rows(_mapped(w, src.vectors))
-    k = min(k, len(src))
-    nn = topk(mapped[:k], tgt.unit_vectors, 1)[0][:, 0]
-    keep = np.ones(k, dtype=bool)
-    if mutual_nn:
-        # best mapped source for each chosen target, searched over all sources
-        keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
-    pairs = tuple(
-        (src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in range(k) if keep[i]
-    )
-    return SeedDictionary(pairs)
+    return _frequency_pairs(_aligned_scan(w, src, tgt), src, tgt, k, mutual_nn)
 
 
 def candidates_cosine_threshold(
@@ -98,12 +126,7 @@ def candidates_cosine_threshold(
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    nn, best = topk(unit_rows(_mapped(w, src.vectors)), tgt.unit_vectors, 1)
-    pairs = tuple(
-        (src.vocab.tokens[i], tgt.vocab.tokens[nn[i, 0]])
-        for i in np.flatnonzero(best[:, 0] >= threshold)
-    )
-    return SeedDictionary(pairs)
+    return _threshold_pairs(_aligned_scan(w, src, tgt), src, tgt, threshold)
 
 
 def combine_candidates(
@@ -184,8 +207,11 @@ def refine(
     previous: SeedDictionary | None = None
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
-        by_freq = candidates_topk_frequency(current, src, tgt, cfg.topk, cfg.mutual_nn)
-        by_sim = candidates_cosine_threshold(current, src, tgt, cfg.threshold)
+        scan = _aligned_scan(current, src, tgt)
+        by_freq = _frequency_pairs(scan, src, tgt, cfg.topk, cfg.mutual_nn)
+        by_sim = _threshold_pairs(scan, src, tgt, cfg.threshold)
+        # the mapped sources need not stay resident through the criterion's scan
+        del scan
         combined = combine_candidates(by_freq, by_sim, cfg.mode)
         if len(combined) == 0:
             log.warning(

@@ -162,6 +162,161 @@ class TestGradientChecks:
         assert decreased[-1]  # the smallest rate always descends
 
 
+class TestBufferedStep:
+    """The buffered passes against the unbuffered ones they replaced, kept here
+    as the oracle; the arithmetic is unchanged, so results must be equal."""
+
+    @staticmethod
+    def oracle_forward(disc, v, dropout_rng):
+        if dropout_rng is not None and disc.input_dropout > 0:
+            mask = (dropout_rng.random(v.shape) >= disc.input_dropout) / (
+                1.0 - disc.input_dropout
+            )
+        else:
+            mask = None
+        v0 = v * mask if mask is not None else v
+        z1 = v0 @ disc.weights[0].T + disc.biases[0]
+        a1 = np.where(z1 > 0, z1, 0.2 * z1)
+        z2 = a1 @ disc.weights[1].T + disc.biases[1]
+        a2 = np.where(z2 > 0, z2, 0.2 * z2)
+        z3 = (a2 @ disc.weights[2].T + disc.biases[2]).ravel()
+        probs = 1.0 / (1.0 + np.exp(-z3))
+        return probs, (v0, mask, z1, a1, z2, a2)
+
+    @staticmethod
+    def oracle_backward(disc, dz3, cache):
+        v0, mask, z1, a1, z2, a2 = cache
+        dz3_col = dz3[:, None]
+        d_w3 = dz3_col.T @ a2
+        d_b3 = np.array([dz3.sum()])
+        da2 = dz3_col @ disc.weights[2]
+        dz2 = da2 * np.where(z2 > 0, 1.0, 0.2)
+        d_w2 = dz2.T @ a1
+        d_b2 = dz2.sum(axis=0)
+        da1 = dz2 @ disc.weights[1]
+        dz1 = da1 * np.where(z1 > 0, 1.0, 0.2)
+        d_w1 = dz1.T @ v0
+        d_b1 = dz1.sum(axis=0)
+        d_input = dz1 @ disc.weights[0]
+        if mask is not None:
+            d_input = d_input * mask
+        return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3], d_input
+
+    @staticmethod
+    def oracle_bce(probs, target):
+        p = np.clip(probs, 1e-7, 1.0 - 1e-7)
+        return float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))))
+
+    @classmethod
+    def oracle(cls, disc, w, x, y, target_mapped, target_real, dropout_rng=None):
+        """(loss, parameter grads, probabilities, d loss / d W)."""
+        n_src, n_tgt = len(x), len(y)
+        probs, cache = cls.oracle_forward(disc, np.vstack([x @ w.T, y]), dropout_rng)
+        p_src, p_tgt = probs[:n_src], probs[n_src:]
+        loss = cls.oracle_bce(p_src, target_mapped) + cls.oracle_bce(p_tgt, target_real)
+        dz3 = np.empty(n_src + n_tgt)
+        dz3[:n_src] = (p_src - target_mapped) / n_src
+        dz3[n_src:] = (p_tgt - target_real) / n_tgt
+        grads, d_input = cls.oracle_backward(disc, dz3, cache)
+        return loss, grads, probs, d_input[:n_src].T @ x
+
+    def assert_matches_oracle(self, disc, w, x, y, seed=None):
+        def rngs():
+            if seed is None:
+                return None, None
+            return np.random.default_rng(seed), np.random.default_rng(seed)
+
+        s = 0.2
+        assert discriminator_loss(disc, w, x, y, s) == self.oracle(disc, w, x, y, 1 - s, s)[0]
+        assert mapping_loss(disc, w, x, y, s) == self.oracle(disc, w, x, y, s, 1 - s)[0]
+        ours, theirs = rngs()
+        loss, grads, probs = discriminator_gradients(disc, w, x, y, s, dropout_rng=ours)
+        o_loss, o_grads, o_probs, _ = self.oracle(disc, w, x, y, 1 - s, s, theirs)
+        assert loss == o_loss
+        assert np.array_equal(probs, o_probs)
+        assert len(grads) == len(o_grads) == 6
+        for grad, o_grad in zip(grads, o_grads):
+            assert grad.shape == o_grad.shape
+            assert np.array_equal(grad, o_grad)
+        ours, theirs = rngs()
+        loss, d_w = mapping_gradient(disc, w, x, y, s, dropout_rng=ours)
+        o_loss, _, _, o_d_w = self.oracle(disc, w, x, y, s, 1 - s, theirs)
+        assert loss == o_loss
+        assert np.array_equal(d_w, o_d_w)
+
+    @staticmethod
+    def batch(seed, n_src, n_tgt, dim=6):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n_src, dim)), rng.normal(size=(n_tgt, dim))
+
+    def test_dropout_with_generators_at_the_same_state(self):
+        rng = np.random.default_rng(20)
+        disc = Discriminator(6, hidden=16, input_dropout=0.3, rng=rng)
+        w = rng.normal(size=(6, 6))
+        x, y = self.batch(21, 8, 8)
+        self.assert_matches_oracle(disc, w, x, y, seed=22)
+
+    def test_unequal_sides(self):
+        rng = np.random.default_rng(23)
+        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng)
+        w = rng.normal(size=(6, 6))
+        x, y = self.batch(24, 3, 7)
+        self.assert_matches_oracle(disc, w, x, y)
+
+    def test_alternating_batch_sizes_on_one_discriminator(self):
+        # at this width some row counts of a matrix product round differently
+        # from the same rows inside a larger product, so a pass that ran only
+        # part of the batch would not match
+        rng = np.random.default_rng(25)
+        disc = Discriminator(50, hidden=128, input_dropout=0.1, rng=rng)
+        w = rng.normal(size=(50, 50)) * 0.2
+        sizes = [(32, 32), (2, 5), (32, 32), (1, 1), (33, 31), (5, 2), (32, 32)]
+        for i, (n_src, n_tgt) in enumerate(sizes):
+            x, y = self.batch(26 + i, n_src, n_tgt, dim=50)
+            self.assert_matches_oracle(disc, w, x, y, seed=40 + i)
+
+    def test_returned_gradients_are_overwritten_by_the_next_call(self):
+        rng = np.random.default_rng(27)
+        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng)
+        w = rng.normal(size=(6, 6))
+        x, y = self.batch(28, 4, 4)
+        x2, y2 = self.batch(29, 4, 4)
+        _, grads, probs = discriminator_gradients(disc, w, x, y)
+        first = [g.copy() for g in grads]
+        first_probs = probs.copy()
+        _, d_w = mapping_gradient(disc, w, x, y)
+        first_d_w = d_w.copy()
+        # mapping_gradient leaves the parameter gradients alone
+        for grad, copy in zip(grads, first):
+            assert np.array_equal(grad, copy)
+        _, grads2, probs2 = discriminator_gradients(disc, w, x2, y2)
+        # the arrays returned first now hold the second call's values
+        for grad, grad2, copy in zip(grads, grads2, first):
+            assert np.shares_memory(grad, disc.flat_grads)
+            assert np.array_equal(grad, grad2)
+            assert not np.array_equal(grad, copy)
+        assert np.array_equal(probs, probs2)
+        assert not np.array_equal(probs, first_probs)
+        # d_w is the caller's own array
+        mapping_gradient(disc, w, x2, y2)
+        assert np.array_equal(d_w, first_d_w)
+
+    def test_in_place_parameter_writes_reach_the_trained_array(self):
+        disc = Discriminator(3, hidden=4, input_dropout=0.0)
+        expected = []
+        for i, (w, b) in enumerate(zip(disc.weights, disc.biases)):
+            w[:] = i + 1.0
+            b[:] = -(i + 1.0)
+            expected += [np.full(w.size, i + 1.0), np.full(b.size, -(i + 1.0))]
+        np.testing.assert_array_equal(disc.flat_params, np.concatenate(expected))
+        # the trainer's whole-array update shows through every view
+        disc.flat_params -= 1.0
+        for i, (w, b) in enumerate(zip(disc.weights, disc.biases)):
+            assert np.all(w == i) and np.all(b == -(i + 2.0))
+        assert [p.shape for p in disc.grads] == [p.shape for p in disc.params]
+        assert all(np.shares_memory(g, disc.flat_grads) for g in disc.grads)
+
+
 class TestSelectionCriterion:
     def test_identical_spaces_identity_mapping(self):
         rng = np.random.default_rng(4)

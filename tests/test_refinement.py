@@ -203,6 +203,42 @@ class TestRefine:
         assert all(a != b for a, b in zip(steps[:-2], steps[1:-1]))
         np.testing.assert_array_equal(outs[3].w, outs[1].w)
 
+    def test_one_scan_per_iteration_feeds_both_heuristics(self, monkeypatch):
+        from apimap import refinement
+
+        task = make_paired_task(n=300, dim=12, noise=0.02, n_seeds=40, n_truth=50, seed=4)
+        w2 = MappingMatrix(
+            task.rotation + 0.05 * np.random.default_rng(1).normal(size=(12, 12)),
+            "adversarial",
+            orthogonal=False,
+        )
+        cfg = RefineConfig(topk=100, threshold=0.7, mode="union", max_iters=4,
+                           patience=4, selection_topk=300)
+        mapped_rows, seen = [], []
+        real_mapped, real_combine = refinement._mapped, refinement.combine_candidates
+
+        def counting_mapped(w, x):
+            mapped_rows.append(len(x))
+            seen.append(np.array(w))
+            return real_mapped(w, x)
+
+        def recording_combine(a, b, mode):
+            seen.append((a, b))
+            return real_combine(a, b, mode)
+
+        monkeypatch.setattr(refinement, "_mapped", counting_mapped)
+        monkeypatch.setattr(refinement, "combine_candidates", recording_combine)
+        report = []
+        refine(w2, task.src, task.tgt, cfg, report)
+        iterations = len(report) - 1
+        assert iterations >= 2
+        assert mapped_rows == [len(task.src)] * iterations
+        monkeypatch.undo()
+        # each iteration's candidates are what the public heuristics give for its W
+        for w, (by_freq, by_sim) in zip(seen[0::2], seen[1::2]):
+            assert by_freq == candidates_topk_frequency(w, task.src, task.tgt, 100)
+            assert by_sim == candidates_cosine_threshold(w, task.src, task.tgt, 0.7)
+
     def test_empty_candidates_warns_and_returns_baseline(self, caplog):
         rng = np.random.default_rng(5)
         src = space_from(rng.normal(size=(50, 10)), prefix="s")
