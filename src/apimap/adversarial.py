@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -343,14 +343,14 @@ def selection_criterion(
 
 @dataclass
 class AdvEpoch:
-    """Per-epoch training record. ``w`` is the epoch-end mapping snapshot."""
+    """Per-epoch training record: mean losses, discriminator accuracy and the
+    selection criterion of the epoch-end mapping."""
 
     epoch: int
     disc_loss: float
     map_loss: float
     disc_accuracy: float
     criterion: float
-    w: np.ndarray = field(repr=False)
 
 
 def write_training_log(history: list[AdvEpoch], path: str) -> None:
@@ -450,7 +450,6 @@ def train_adversarial(
                     map_loss=float(np.mean(map_losses)),
                     disc_accuracy=correct / seen if seen else math.nan,
                     criterion=criterion,
-                    w=w.copy(),
                 )
             )
         if criterion > best_criterion:

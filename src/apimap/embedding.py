@@ -3,10 +3,16 @@
 The trainer is a plain numpy implementation of skip-gram with negative
 sampling: frequent-token subsampling, unigram^0.75 negative distribution,
 per-center context windows sampled uniformly in [1, window], and linear
-learning-rate decay. The trainer applies ``sgns_step``, the gradient that
-the tests check against ``sgns_loss``. Single-worker runs are bit-reproducible
-given a seed; multi-worker runs train one shard of lines per thread, update
-the shared weights without locks and trade determinism for throughput.
+learning-rate decay. One training step covers a group of consecutive whole
+lines, as Ji et al. 2016 batch many contexts into one update: one call of
+``sgns_step``, the gradient that the tests check against ``sgns_loss``, for
+every (center, context) pair of the group, and one ``np.bincount`` scatter-add
+per weight matrix. A group closes at ``STEP_PAIRS`` expected pairs, or earlier
+when its gradient block could exceed ``similarity.TILE_BYTES``, so wide
+configurations still take one line per step. Single-worker runs are
+bit-reproducible given a seed; multi-worker runs train one shard of lines per
+thread, update the shared weights without locks and trade determinism for
+throughput.
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ import numpy as np
 
 from .corpus import CodeSequence, Vocabulary, build_vocabulary
 from .errors import FormatError
-from .similarity import unit_rows
+from .similarity import TILE_BYTES, unit_rows
 
 NEGATIVE_TABLE_EXPONENT = 0.75
 MIN_LEARNING_RATE = 1e-4
+# expected (center, context) pairs at which a step's group of lines closes
+STEP_PAIRS = 512
 
 
 @dataclass
@@ -173,8 +181,61 @@ def _window_pairs(spans: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
     return i[inside], j[inside]
 
 
+def _group_pairs(
+    spans: np.ndarray, line_of: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_window_pairs`` over several lines laid end to end, without the pairs
+    that cross a line; ``line_of[i]`` numbers the line of position i."""
+    i, j = _window_pairs(spans, window)
+    same = line_of[i] == line_of[j]
+    return i[same], j[same]
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray, scale: float) -> None:
+    """``target[rows] += scale * values`` with repeated rows summed, as
+    ``np.add.at`` does, by one ``np.bincount`` over (distinct row, column)."""
+    uniq, inv = np.unique(rows, return_inverse=True)
+    dim = target.shape[1]
+    sums = np.bincount(
+        (inv[:, None] * dim + np.arange(dim)).ravel(),
+        weights=values.ravel(),
+        minlength=len(uniq) * dim,
+    )
+    sums *= scale
+    target[uniq] += sums.reshape(len(uniq), dim)
+
+
+def _step_groups(
+    lines: list[np.ndarray], keep: np.ndarray, cfg: TrainConfig
+) -> list[list[np.ndarray]]:
+    """Consecutive whole lines grouped into training steps.
+
+    A group closes once its expected pairs (expected kept tokens times
+    ``window + 1``) reach ``STEP_PAIRS``, or before a line whose most possible
+    pairs would take the group's ``(pairs, negatives + 1, dim)`` float64
+    gradient block past ``TILE_BYTES``. A line is never split, so a line that
+    alone exceeds the block limit is a step of its own.
+    """
+    pair_bytes = 8 * (cfg.negatives + 1) * cfg.dim
+    groups = []
+    start, expected, most = 0, 0.0, 0
+    for k, line in enumerate(lines):
+        line_most = len(line) * min(2 * cfg.window, len(line) - 1)
+        if k > start and (most + line_most) * pair_bytes > TILE_BYTES:
+            groups.append(lines[start:k])
+            start, expected, most = k, 0.0, 0
+        expected += float(keep[line].sum()) * (cfg.window + 1)
+        most += line_most
+        if expected >= STEP_PAIRS:
+            groups.append(lines[start : k + 1])
+            start, expected, most = k + 1, 0.0, 0
+    if start < len(lines):
+        groups.append(lines[start:])
+    return groups
+
+
 def _train_shard(
-    lines: list[np.ndarray],
+    groups: list[list[np.ndarray]],
     rng: np.random.Generator,
     done: int,
     *,
@@ -185,26 +246,30 @@ def _train_shard(
     cfg: TrainConfig,
     total_words: int,
 ) -> int:
-    """One pass over a shard of encoded lines, updating the shared weights.
+    """One pass over a shard's line groups (``_step_groups``), updating the
+    shared weights.
 
     ``done`` counts the shard's words trained so far; scaled by the number of
-    shards it stands for the run's progress in the learning-rate decay. All
-    (center, context) pairs of one line are updated together from the weights
-    at the start of the line. Returns the new ``done``.
+    shards it stands for the run's progress in the learning-rate decay. One
+    step trains one group: every (center, context) pair of its lines is updated
+    together from the weights at the start of the step, at the learning rate
+    of the step's last word. Returns the new ``done``.
     """
-    for line in lines:
-        done += len(line)
+    for group in groups:
+        tokens = np.concatenate(group)
+        line_of = np.repeat(np.arange(len(group)), [len(line) for line in group])
+        done += len(tokens)
         alpha = max(
             MIN_LEARNING_RATE,
             cfg.learning_rate * (1.0 - done * cfg.workers / (total_words + 1)),
         )
-        if len(line) < 2:
+        kept = rng.random(len(tokens)) < keep[tokens]
+        words = tokens[kept]
+        spans = rng.integers(1, cfg.window + 1, size=len(words))
+        i, j = _group_pairs(spans, line_of[kept], cfg.window)
+        if len(i) == 0:
             continue
-        kept = line[rng.random(len(line)) < keep[line]]
-        if len(kept) < 2:
-            continue
-        i, j = _window_pairs(rng.integers(1, cfg.window + 1, size=len(kept)), cfg.window)
-        centers, contexts = kept[i], kept[j]
+        centers, contexts = words[i], words[j]
         pairs = len(centers)
 
         negatives = table.draw(rng, pairs * cfg.negatives).reshape(pairs, cfg.negatives)
@@ -222,8 +287,8 @@ def _train_shard(
         weights[:, 1:][negatives == contexts[:, None]] = 0.0
 
         grad_centers, grad_outputs = sgns_step(syn_in[centers], syn_out[targets], labels, weights)
-        np.add.at(syn_out, targets.ravel(), -alpha * grad_outputs.reshape(-1, syn_out.shape[1]))
-        np.add.at(syn_in, centers, -alpha * grad_centers)
+        _scatter_add(syn_out, targets.ravel(), grad_outputs.reshape(-1, syn_out.shape[1]), -alpha)
+        _scatter_add(syn_in, centers, grad_centers, -alpha)
     return done
 
 
@@ -248,15 +313,16 @@ def train_skipgram(corpus: Iterable[CodeSequence], cfg: TrainConfig) -> Embeddin
     syn_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     syn_out = np.zeros((len(vocab), cfg.dim))
 
-    shards = [lines[w :: cfg.workers] for w in range(cfg.workers)]
+    keep = subsample_keep_probs(counts, cfg.subsample)
+    shards = [_step_groups(lines[w :: cfg.workers], keep, cfg) for w in range(cfg.workers)]
     # one worker keeps drawing from the generator that initialized the weights
     rngs = [rng] if cfg.workers == 1 else [
         np.random.default_rng((cfg.rng_seed, w)) for w in range(cfg.workers)
     ]
     train = partial(
-        _train_shard, syn_in=syn_in, syn_out=syn_out,
-        keep=subsample_keep_probs(counts, cfg.subsample), table=_NegativeTable(counts),
-        cfg=cfg, total_words=sum(len(line) for line in lines) * cfg.epochs,
+        _train_shard, syn_in=syn_in, syn_out=syn_out, keep=keep,
+        table=_NegativeTable(counts), cfg=cfg,
+        total_words=sum(len(line) for line in lines) * cfg.epochs,
     )
     done = [0] * cfg.workers
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -288,7 +354,7 @@ def load_space(path: str) -> EmbeddingSpace:
     With a sidecar, counts must be non-increasing down the vector file's rows,
     since later stages take the first rows as the most frequent tokens; a
     sidecar that breaks this order raises FormatError. Without one, every
-    count is 1 and file order stands.
+    count is 1 and the row order is taken as frequency order, unchecked.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -354,4 +420,5 @@ __all__ = [
     "save_space",
     "load_space",
     "MIN_LEARNING_RATE",
+    "STEP_PAIRS",
 ]

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from apimap import adversarial
 from apimap.adversarial import AdvConfig, selection_criterion, train_adversarial
 from apimap.embedding import TrainConfig, train_skipgram
 from apimap.refinement import RefineConfig, refine
@@ -62,7 +63,18 @@ def sar_runs():
         x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
         w1 = solve_procrustes(x_s, y_s)
         history = []
-        w2 = train_adversarial(w1, task.src, task.tgt, adv_config(seed + 100), history)
+        # ground-truth top-1 of every W that training scores with the selection
+        # criterion: the starting W, then each epoch-end W
+        scored_accuracy = []
+
+        def scored(w, src, tgt, k, task=task, out=scored_accuracy):
+            out.append(oracle_top1(w, task.src, task.tgt, task.truth_idx))
+            return selection_criterion(w, src, tgt, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adversarial, "selection_criterion", scored)
+            w2 = train_adversarial(w1, task.src, task.tgt, adv_config(seed + 100), history)
+        assert len(scored_accuracy) == len(history) + 1
         w3 = refine(w2, task.src, task.tgt, refine_config())
         w_random = MappingMatrix(
             random_orthogonal(task.src.dim, np.random.default_rng(seed + 7)),
@@ -84,9 +96,7 @@ def sar_runs():
                 "criterion_w2": selection_criterion(w2.w, task.src, task.tgt, SELECTION_K),
                 "criterion_w3": selection_criterion(w3.w, task.src, task.tgt, SELECTION_K),
                 "epoch_criteria": [h.criterion for h in history],
-                "epoch_accuracy": [
-                    oracle_top1(h.w, task.src, task.tgt, task.truth_idx) for h in history
-                ],
+                "epoch_accuracy": scored_accuracy[1:],
                 "history": history,
             }
         )

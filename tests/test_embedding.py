@@ -8,6 +8,8 @@ from apimap.corpus import Vocabulary
 from apimap.embedding import (
     EmbeddingSpace,
     TrainConfig,
+    _group_pairs,
+    _scatter_add,
     _window_pairs,
     load_space,
     save_space,
@@ -127,6 +129,89 @@ class TestWindowPairs:
                 spans = rng.integers(1, window + 1, size=n)
                 i, j = _window_pairs(spans, window)
                 assert list(zip(i.tolist(), j.tolist())) == self.loop_oracle(spans)
+
+
+class TestGroupPairs:
+    def test_matches_per_line_window_pairs(self):
+        rng = np.random.default_rng(3)
+        window = 3
+        lengths = [1, 2, 5, 4, 1, 9, 3]
+        starts = np.cumsum([0] + lengths[:-1])
+        line_of = np.repeat(np.arange(len(lengths)), lengths)
+        for _ in range(20):
+            spans = rng.integers(1, window + 1, size=len(line_of))
+            i, j = _group_pairs(spans, line_of, window)
+            expected = []
+            for start, n in zip(starts, lengths):
+                li, lj = _window_pairs(spans[start : start + n], window)
+                expected += list(zip((li + start).tolist(), (lj + start).tolist()))
+            assert list(zip(i.tolist(), j.tolist())) == expected
+            assert np.array_equal(line_of[i], line_of[j])
+            # the unmasked grid over the same spans does cross lines
+            wi, wj = _window_pairs(spans, window)
+            assert np.any(line_of[wi] != line_of[wj])
+
+
+class TestScatterAdd:
+    @staticmethod
+    def both(target, rows, values, scale):
+        expected = target.copy()
+        np.add.at(expected, rows, scale * values)
+        got = target.copy()
+        _scatter_add(got, rows, values, scale)
+        return expected, got
+
+    def test_equals_add_at_exactly_on_integer_values(self):
+        rng = np.random.default_rng(0)
+        target = rng.integers(-50, 50, size=(12, 4)).astype(float)
+        rows = rng.integers(0, 12, size=60)  # every row repeated about 5 times
+        values = rng.integers(-20, 20, size=(60, 4)).astype(float)
+        expected, got = self.both(target, rows, values, -0.5)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_equals_add_at_on_random_values(self):
+        rng = np.random.default_rng(1)
+        target = rng.normal(size=(30, 8))
+        rows = np.concatenate([rng.integers(0, 30, size=200), [7] * 50])
+        values = rng.normal(size=(250, 8))
+        expected, got = self.both(target, rows, values, -0.025)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestStepSize:
+    @staticmethod
+    def count_steps(monkeypatch, lines, cfg):
+        calls = []
+        sgns = embedding.sgns_step
+
+        def spy(centers, *args):
+            calls.append(len(centers))
+            return sgns(centers, *args)
+
+        monkeypatch.setattr(embedding, "sgns_step", spy)
+        train_skipgram(lines, cfg)
+        return calls
+
+    @staticmethod
+    def corpus(n_lines):
+        rng = np.random.default_rng(4)
+        return [[f"t{k}" for k in rng.integers(0, 200, size=12)] for _ in range(n_lines)]
+
+    def test_one_line_per_step_at_cli_width(self, monkeypatch):
+        # one 12-token line already holds more pairs than TILE_BYTES allows at d=300
+        cfg = TrainConfig(epochs=1, subsample=1.0, rng_seed=2)
+        assert (cfg.dim, cfg.negatives, cfg.window) == (300, 30, 10)
+        calls = self.count_steps(monkeypatch, self.corpus(20), cfg)
+        assert len(calls) == 20
+
+    def test_several_lines_per_step_at_benchmark_width(self, monkeypatch):
+        # the embed-corpus benchmark's training settings
+        cfg = TrainConfig(dim=32, epochs=2, negatives=3, window=2, learning_rate=0.05,
+                          subsample=1e-3, rng_seed=2)
+        calls = self.count_steps(monkeypatch, self.corpus(300), cfg)
+        assert 2 <= len(calls) <= 2 * 300 // 4
+        # a 12-token line has at most 12 * 2 * window pairs
+        assert max(calls) > 12 * 2 * cfg.window
 
 
 class TestSgnsGradient:
