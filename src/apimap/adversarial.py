@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError
-from .seeding import MappingMatrix, ORTHOGONALITY_TOL, STAGE_ADVERSARIAL
+from .seeding import MappingMatrix, STAGE_ADVERSARIAL, is_orthogonal
 from .similarity import topk, unit_rows
 
 LEAKY_SLOPE = 0.2
@@ -389,7 +389,7 @@ def train_adversarial(
     best_criterion = selection_criterion(w, src, tgt, k_sel)
     best_w = w.copy()
     if cfg.epochs == 0:
-        return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=_is_orth(best_w))
+        return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=is_orthogonal(best_w))
 
     rng = np.random.default_rng(cfg.rng_seed)
     disc = Discriminator(src.dim, cfg.hidden_dim, cfg.input_dropout, rng)
@@ -456,8 +456,4 @@ def train_adversarial(
             best_criterion = criterion
             best_w = w.copy()
         lr *= LR_DECAY
-    return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=_is_orth(best_w))
-
-
-def _is_orth(w: np.ndarray) -> bool:
-    return bool(np.linalg.norm(w.T @ w - np.eye(w.shape[0])) < ORTHOGONALITY_TOL)
+    return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=is_orthogonal(best_w))

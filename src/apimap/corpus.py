@@ -156,6 +156,24 @@ def read_corpus(path: str) -> Iterator[CodeSequence]:
             yield line.split()
 
 
+def read_tsv(path: str, widths: tuple[int, ...] = (2,)) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, cols)`` for each non-blank line of a tab-separated file.
+
+    Every row must have one of ``widths`` columns, the first two non-empty;
+    any other row raises FormatError naming the file and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) not in widths or not cols[0] or not cols[1]:
+                expected = " or ".join(str(w) for w in widths)
+                raise FormatError(f"{path}:{lineno}: expected {expected} tab-separated columns")
+            yield lineno, cols
+
+
 def load_signature_table(entries_path: str, keywords_path: str | None = None) -> SignatureTable:
     """Load a signature table from a TSV file plus an optional keyword list.
 
@@ -163,21 +181,13 @@ def load_signature_table(entries_path: str, keywords_path: str | None = None) ->
     mapping to more than one signature are ambiguous and rejected.
     """
     entries: dict[str, str] = {}
-    with open(entries_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise FormatError(f"{entries_path}:{lineno}: expected 2 tab-separated columns")
-            raw, sig = cols
-            if raw in entries and entries[raw] != sig:
-                raise FormatError(
-                    f"{entries_path}:{lineno}: ambiguous raw token {raw!r} "
-                    f"({entries[raw]!r} vs {sig!r})"
-                )
-            entries[raw] = sig
+    for lineno, (raw, sig) in read_tsv(entries_path):
+        if raw in entries and entries[raw] != sig:
+            raise FormatError(
+                f"{entries_path}:{lineno}: ambiguous raw token {raw!r} "
+                f"({entries[raw]!r} vs {sig!r})"
+            )
+        entries[raw] = sig
     keywords: set[str] = set()
     if keywords_path is not None:
         with open(keywords_path, encoding="utf-8") as fh:

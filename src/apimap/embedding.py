@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import CodeSequence, Vocabulary, build_vocabulary
+from .corpus import CodeSequence, Vocabulary, build_vocabulary, read_tsv
 from .errors import FormatError
 from .similarity import TILE_BYTES, unit_rows
 
@@ -388,15 +388,13 @@ def load_space(path: str) -> EmbeddingSpace:
     sidecar = path + ".freq"
     if os.path.exists(sidecar):
         freq: dict[str, int] = {}
-        with open(sidecar, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 2:
-                    raise FormatError(f"{sidecar}:{lineno}: expected 2 columns")
-                freq[cols[0]] = int(cols[1])
+        for lineno, (token, count) in read_tsv(sidecar):
+            try:
+                freq[token] = int(count)
+            except ValueError as exc:
+                raise FormatError(
+                    f"{sidecar}:{lineno}: count {count!r} is not an integer"
+                ) from exc
         counts = [freq.get(t, 1) for t in tokens]
         # row 0 must be the most frequent token: the selection criterion,
         # adversarial sampling and refinement candidates all read the head

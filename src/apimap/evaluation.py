@@ -2,8 +2,9 @@
 
 Covers top-k accuracy against a ground-truth pair list, precision/recall/F
 over emitted mappings, coverage/accuracy trade-off tables across similarity
-thresholds, package-level cluster similarity, and an ablation driver that runs
-any chain of the seeding / adversarial / refinement stages.
+thresholds, package-level cluster similarity, the one stage grammar and chain
+of the seeding / adversarial / refinement stages, and an ablation driver over
+such chains.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import AdvConfig, _mapped, train_adversarial
+from .adversarial import AdvConfig, AdvEpoch, _mapped, train_adversarial
+from .corpus import read_tsv
 from .embedding import EmbeddingSpace
 from .errors import FormatError
 from .query import QueryResult, batch_query
-from .refinement import RefineConfig, refine
+from .refinement import RefineConfig, RefineStep, refine
 from .seeding import (
     MappingMatrix,
     STAGE_SEEDED,
@@ -29,8 +31,6 @@ from .seeding import (
 from .similarity import unit_rows
 
 log = logging.getLogger(__name__)
-
-ABLATION_COMBOS = ("S", "S+A", "S+R", "S+A+R", "A", "A+R", "R")
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,7 @@ class GroundTruth:
 
     def sources(self) -> list[str]:
         """Distinct source tokens in first-appearance order."""
-        out: list[str] = []
-        seen = set()
-        for s, _ in self.pairs:
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-        return out
+        return list(dict.fromkeys(s for s, _ in self.pairs))
 
     def expected(self) -> dict[str, set[str]]:
         """Source token to the set of acceptable targets."""
@@ -121,24 +115,26 @@ def load_ground_truth(path: str, multi_target: bool = False) -> GroundTruth:
     """Read a TSV of ``source<TAB>target[<TAB>package_label]`` rows."""
     pairs: list[tuple[str, str]] = []
     packages: list[str | None] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (2, 3) or not cols[0] or not cols[1]:
-                raise FormatError(f"{path}:{lineno}: expected 2 or 3 tab-separated columns")
-            pairs.append((cols[0], cols[1]))
-            packages.append(cols[2] if len(cols) == 3 else None)
+    for _, cols in read_tsv(path, widths=(2, 3)):
+        pairs.append((cols[0], cols[1]))
+        packages.append(cols[2] if len(cols) == 3 else None)
     has_labels = any(p is not None for p in packages)
     return GroundTruth(
         tuple(pairs), tuple(packages) if has_labels else (), multi_target
     )
 
 
-def _results_by_token(results: list[QueryResult]) -> dict[str, QueryResult]:
-    return {r.query_token: r for r in results}
+def _results_by_source(
+    results: list[QueryResult], expected: dict[str, set[str]]
+) -> dict[str, QueryResult]:
+    """Results keyed by query token; every expected source must be among them."""
+    if not expected:
+        raise ValueError("empty ground truth")
+    by_token = {r.query_token: r for r in results}
+    missing = [s for s in expected if s not in by_token]
+    if missing:
+        raise ValueError(f"{len(missing)} truth sources were not queried: {missing[:5]}")
+    return by_token
 
 
 def topk_accuracy(results: list[QueryResult], truth: GroundTruth, k: int) -> float:
@@ -150,12 +146,7 @@ def topk_accuracy(results: list[QueryResult], truth: GroundTruth, k: int) -> flo
     if k < 1:
         raise ValueError("k must be >= 1")
     expected = truth.expected()
-    if not expected:
-        raise ValueError("empty ground truth")
-    by_token = _results_by_token(results)
-    missing = [s for s in expected if s not in by_token]
-    if missing:
-        raise ValueError(f"{len(missing)} truth sources were not queried: {missing[:5]}")
+    by_token = _results_by_source(results, expected)
     hits = 0
     for source, targets in expected.items():
         retrieved = by_token[source].tokens[:k]
@@ -229,9 +220,7 @@ def coverage_rows(
         if not 0 <= tau < 1:
             raise ValueError(f"threshold {tau} outside [0, 1)")
     expected = truth.expected()
-    if not expected:
-        raise ValueError("empty ground truth")
-    by_token = _results_by_token(results)
+    by_token = _results_by_source(results, expected)
     rows: list[CoverageRow] = []
     for tau in thresholds:
         for k in k_list:
@@ -293,16 +282,53 @@ def group_similarity(
     return out
 
 
-def _canonical_combo(combo: str) -> str:
-    letters = [c for c in combo.upper() if c not in "+, "]
-    if (
-        not letters
-        or any(c not in "SAR" for c in letters)
-        or len(set(letters)) != len(letters)
-    ):
-        raise ValueError(f"bad stage combination {combo!r}")
-    ordered = "".join(c for c in "SAR" if c in letters)
-    return "+".join(ordered)
+def parse_stages(spec: str) -> str:
+    """Canonical ``S+A+R``-style name of a stage list such as ``s,a,r`` or ``S+R``.
+
+    The stages are S (seeded solve), A (adversarial) and R (refine), separated
+    by ``,`` or ``+`` in any case. Unknown, repeated or out-of-order stages
+    raise FormatError.
+    """
+    names = [n.strip().upper() for n in spec.replace(",", "+").split("+") if n.strip()]
+    if not names or names != [n for n in "SAR" if n in names]:
+        raise FormatError(
+            f"bad stage list {spec!r}: expected stages from S, A, R in that order, "
+            f"separated by ',' or '+'"
+        )
+    return "+".join(names)
+
+
+def run_stages(
+    stages: str,
+    src: EmbeddingSpace,
+    tgt: EmbeddingSpace,
+    seeds: SeedDictionary | None,
+    adv_cfg: AdvConfig,
+    ref_cfg: RefineConfig,
+    rng_seed: int,
+    history: list[AdvEpoch] | None = None,
+    report: list[RefineStep] | None = None,
+) -> MappingMatrix:
+    """Chain the stages named by ``stages`` (any form ``parse_stages`` takes).
+
+    S solves on ``seeds``; without S the chain starts from a random orthogonal
+    matrix drawn from ``rng_seed``. A then R follow when named, appending their
+    per-epoch and per-iteration rows to ``history`` and ``report``.
+    """
+    names = parse_stages(stages).split("+")
+    if "S" in names:
+        w = solve_procrustes(*seed_matrices(seeds, src, tgt))
+    else:
+        w = MappingMatrix(
+            random_orthogonal(src.dim, np.random.default_rng(rng_seed)),
+            STAGE_SEEDED,
+            orthogonal=True,
+        )
+    if "A" in names:
+        w = train_adversarial(w, src, tgt, adv_cfg, history)
+    if "R" in names:
+        w = refine(w, src, tgt, ref_cfg, report)
+    return w
 
 
 def run_ablation(
@@ -316,32 +342,15 @@ def run_ablation(
     k_list: tuple[int, ...] = (1, 5, 10),
     rng_seed: int = 0,
 ) -> dict[str, EvalReport]:
-    """Run each stage combination and report its top-k accuracy.
-
-    Combinations are subsets of S (seeded solve), A (adversarial), R (refine),
-    applied in that order. Without S, the chain starts from a random orthogonal
-    matrix drawn from ``rng_seed``.
-    """
+    """Run each stage combination with ``run_stages`` and report its top-k
+    accuracy, keyed by the combination's canonical name."""
     adv_cfg = adv_cfg if adv_cfg is not None else AdvConfig()
     ref_cfg = ref_cfg if ref_cfg is not None else RefineConfig()
     reports: dict[str, EvalReport] = {}
     sources = truth.sources()
     for combo in grid:
-        name = _canonical_combo(combo)
-        stages = set(name.split("+"))
-        if "S" in stages:
-            x_s, y_s = seed_matrices(seeds, src, tgt)
-            w = solve_procrustes(x_s, y_s)
-        else:
-            w = MappingMatrix(
-                random_orthogonal(src.dim, np.random.default_rng(rng_seed)),
-                STAGE_SEEDED,
-                orthogonal=True,
-            )
-        if "A" in stages:
-            w = train_adversarial(w, src, tgt, adv_cfg)
-        if "R" in stages:
-            w = refine(w, src, tgt, ref_cfg)
+        name = parse_stages(combo)
+        w = run_stages(name, src, tgt, seeds, adv_cfg, ref_cfg, rng_seed)
         results = batch_query(sources, w, src, tgt, max(k_list))
         oov = sum(1 for r in results if r.oov)
         reports[name] = EvalReport(

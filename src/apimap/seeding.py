@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, read_tsv
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError, FormatError
 from .similarity import unit_rows
@@ -71,12 +71,27 @@ class MappingMatrix:
         return self.w.shape[0]
 
 
+def is_orthogonal(w: np.ndarray) -> bool:
+    """Whether ||W^T W - I|| is below ORTHOGONALITY_TOL."""
+    return bool(np.linalg.norm(w.T @ w - np.eye(w.shape[0])) < ORTHOGONALITY_TOL)
+
+
 def _suffix_key(token: str) -> str | None:
     """Case-folded last-two-dotted-segments key, or None for non-API tokens."""
     parts = token.split(".")
     if len(parts) < 2 or not parts[-1] or not parts[-2]:
         return None
     return f"{parts[-2]}.{parts[-1]}".casefold()
+
+
+def _tokens_by_suffix(vocab: Vocabulary) -> dict[str, list[str]]:
+    """Suffix key to the tokens carrying it, in vocabulary order."""
+    by_key: dict[str, list[str]] = {}
+    for token in vocab:
+        key = _suffix_key(token)
+        if key is not None:
+            by_key.setdefault(key, []).append(token)
+    return by_key
 
 
 def mine_signature_seeds(src: Vocabulary, tgt: Vocabulary) -> SeedDictionary:
@@ -86,26 +101,12 @@ def mine_signature_seeds(src: Vocabulary, tgt: Vocabulary) -> SeedDictionary:
     Suffixes claimed by more than one token on either side are ambiguous and
     dropped. Output pairs follow source vocabulary (frequency) order.
     """
-    src_by_key: dict[str, list[str]] = {}
-    for token in src:
-        key = _suffix_key(token)
-        if key is not None:
-            src_by_key.setdefault(key, []).append(token)
-    tgt_by_key: dict[str, list[str]] = {}
-    for token in tgt:
-        key = _suffix_key(token)
-        if key is not None:
-            tgt_by_key.setdefault(key, []).append(token)
-
+    tgt_by_key = _tokens_by_suffix(tgt)
     pairs = []
-    for token in src:
-        key = _suffix_key(token)
-        if key is None:
-            continue
-        src_hits = src_by_key[key]
+    for key, src_hits in _tokens_by_suffix(src).items():
         tgt_hits = tgt_by_key.get(key, [])
         if len(src_hits) == 1 and len(tgt_hits) == 1:
-            pairs.append((token, tgt_hits[0]))
+            pairs.append((src_hits[0], tgt_hits[0]))
     return SeedDictionary(tuple(pairs))
 
 
@@ -205,20 +206,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def load_seeds(path: str) -> SeedDictionary:
     """Read a two-column TSV seed dictionary; repeats of a pair collapse to one."""
-    pairs: list[tuple[str, str]] = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise FormatError(f"{path}:{lineno}: expected 2 tab-separated columns")
-            pair = (cols[0], cols[1])
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+    pairs = dict.fromkeys((s, t) for _, (s, t) in read_tsv(path))
     return SeedDictionary(tuple(pairs))
 
 
@@ -268,5 +256,4 @@ def load_matrix(path: str) -> MappingMatrix:
     w = np.asarray(rows)
     if stage not in _STAGES:
         raise FormatError(f"{path}: unknown stage {stage!r}")
-    orth = bool(np.linalg.norm(w.T @ w - np.eye(dim)) < ORTHOGONALITY_TOL)
-    return MappingMatrix(w, stage, orthogonal=orth)
+    return MappingMatrix(w, stage, orthogonal=is_orthogonal(w))

@@ -229,6 +229,24 @@ class TestAlign:
                    str(trained_pair["dir"] / "w.txt"))
         assert code == 2
 
+    def test_stages_match_run_stages(self, trained_pair):
+        from apimap.evaluation import run_stages
+        from apimap.seeding import load_matrix, load_seeds
+
+        matrix = trained_pair["dir"] / "w_sr.txt"
+        code = run("align", "--src-emb", str(trained_pair["src"]),
+                   "--tgt-emb", str(trained_pair["tgt"]),
+                   "--seeds", str(trained_pair["seeds"]),
+                   "--stages", "s,r", "--out-matrix", str(matrix),
+                   "--refine-topk", "40", "--refine-iters", "2", "--seed", "3")
+        assert code == 0
+        src, tgt = load_space(str(trained_pair["src"])), load_space(str(trained_pair["tgt"]))
+        w = run_stages("S+R", src, tgt, load_seeds(str(trained_pair["seeds"])), AdvConfig(),
+                       RefineConfig(topk=40, max_iters=2), rng_seed=3)
+        loaded = load_matrix(str(matrix))
+        assert loaded.stage == w.stage == "refined"
+        assert np.array_equal(loaded.w, w.w)
+
     def test_dimension_mismatch_exits_2(self, trained_pair, tmp_path):
         from apimap.corpus import Vocabulary
         from apimap.embedding import EmbeddingSpace, save_space
@@ -313,6 +331,15 @@ class TestQueryAndEval:
         assert "stages,k,accuracy" in abl.read_text()
         assert "S,1," in abl.read_text()
 
+    def test_eval_ablation_without_seeds_exits_2_before_writing(self, aligned, tmp_path):
+        out = tmp_path / "report.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--ablation", "S",
+                   "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_eval_thresholds_query_once(self, aligned, tmp_path, monkeypatch):
         from apimap import evaluation, query
         from apimap.seeding import load_matrix
@@ -358,8 +385,8 @@ class TestDefaults:
     def test_parsed_defaults_equal_config_defaults(self):
         parser = cli.build_parser()
         embed = parser.parse_args(["embed", "--corpus", "c", "--out", "o"])
-        assert cli._train_config(embed) == TrainConfig()
+        assert cli._config(TrainConfig, embed) == TrainConfig()
         for argv in (["align", "--out-matrix", "w"], ["eval", "--matrix", "w", "--truth", "g"]):
             args = parser.parse_args([*argv, "--src-emb", "s", "--tgt-emb", "t"])
-            assert cli._adv_config(args) == AdvConfig()
-            assert cli._ref_config(args) == RefineConfig()
+            assert cli._config(AdvConfig, args) == AdvConfig()
+            assert cli._config(RefineConfig, args) == RefineConfig()

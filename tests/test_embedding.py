@@ -319,6 +319,13 @@ class TestSpaceIO:
         (tmp_path / "space.txt.freq").write_text("a\t9\nb\t4\nc\t4\n")
         assert load_space(str(path)).vocab.counts == [9, 4, 4]
 
+    def test_sidecar_non_integer_count_names_line(self, tmp_path):
+        path = tmp_path / "space.txt"
+        path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
+        (tmp_path / "space.txt.freq").write_text("a\t9\nb\tmany\n")
+        with pytest.raises(FormatError, match=r"space\.txt\.freq:2: count 'many'"):
+            load_space(str(path))
+
 
 class TestEmbeddingSpace:
     def test_rejects_nonfinite(self):

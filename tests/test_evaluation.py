@@ -12,9 +12,11 @@ from apimap.evaluation import (
     EvalReport,
     GroundTruth,
     coverage_accuracy_table,
+    coverage_rows,
     f_score,
     group_similarity,
     load_ground_truth,
+    parse_stages,
     precision_recall_f,
     run_ablation,
     topk_accuracy,
@@ -180,6 +182,11 @@ class TestCoverageAccuracyTable:
         with pytest.raises(ValueError):
             coverage_accuracy_table(w, src, tgt, truth, thresholds=[1.0])
 
+    def test_unqueried_truth_source_rejected(self):
+        _, _, truth = self.cluster_space()
+        with pytest.raises(ValueError, match="not queried"):
+            coverage_rows([], truth, [0.5])
+
 
 class TestGroupSimilarity:
     def test_matches_cross_product_brute_force(self):
@@ -233,8 +240,16 @@ class TestRunAblation:
 
     def test_bad_combo_rejected(self):
         task = make_paired_task(n=100, dim=6, n_seeds=5, n_truth=10, seed=8)
-        with pytest.raises(ValueError):
-            run_ablation(task.src, task.tgt, task.seeds, task.truth, ["S+X"])
+        # unknown, out-of-order, repeated and empty stage lists
+        for combo in ("S+X", "A+S", "S+S", ""):
+            with pytest.raises(FormatError, match="bad stage list"):
+                run_ablation(task.src, task.tgt, task.seeds, task.truth, [combo])
+
+    @pytest.mark.parametrize(
+        "spec, name", [("s,a,r", "S+A+R"), (" a + r ", "A+R"), ("S+R", "S+R")]
+    )
+    def test_stage_grammar_accepted_forms(self, spec, name):
+        assert parse_stages(spec) == name
 
     def test_grid_orderings_on_synthetic_task(self, sar_runs):
         top_s = np.median([r["top1_s"] for r in sar_runs["runs"]])
