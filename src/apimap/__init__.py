@@ -30,7 +30,6 @@ from .embedding import (
 )
 from .errors import DivergenceError, FormatError
 from .evaluation import (
-    EvalReport,
     GroundTruth,
     coverage_accuracy_table,
     coverage_rows,
@@ -42,6 +41,7 @@ from .evaluation import (
 from .query import QueryResult, batch_query, map_vector, nearest_neighbors
 from .refinement import (
     RefineConfig,
+    aligned_scan,
     candidates_cosine_threshold,
     candidates_topk_frequency,
     combine_candidates,
@@ -51,6 +51,7 @@ from .seeding import (
     MappingMatrix,
     SeedDictionary,
     mine_signature_seeds,
+    nearest_orthogonal,
     solve_gradient_descent,
     solve_procrustes,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "Discriminator",
     "DivergenceError",
     "EmbeddingSpace",
-    "EvalReport",
     "FormatError",
     "GroundTruth",
     "MappingMatrix",
@@ -72,6 +72,7 @@ __all__ = [
     "SignatureTable",
     "TrainConfig",
     "Vocabulary",
+    "aligned_scan",
     "batch_query",
     "build_vocabulary",
     "candidates_cosine_threshold",
@@ -86,6 +87,7 @@ __all__ = [
     "mapping_loss",
     "mine_signature_seeds",
     "nearest_neighbors",
+    "nearest_orthogonal",
     "normalize_sequence",
     "precision_recall_f",
     "refine",

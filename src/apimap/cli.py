@@ -193,8 +193,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.ablation and not args.seeds:
-        raise FormatError("--seeds is required for --ablation")
+    specs = (args.ablation or "").split(",")
+    grid = [evaluation.parse_stages(g) for g in specs if g.strip()]
+    if any("S" in name for name in grid) and not args.seeds:
+        raise FormatError("--seeds is required when an --ablation item contains S")
     src, tgt, w = _load_aligned(args)
     truth = evaluation.load_ground_truth(args.truth, args.multi_target)
     k_list = tuple(int(k) for k in args.k_list.split(","))
@@ -219,9 +221,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
               f"{row.accuracy_overall:.6f}"] for row in rows),
         )
 
-    if args.ablation:
-        seeds = seeding.load_seeds(args.seeds)
-        grid = [g.strip() for g in args.ablation.split(",") if g.strip()]
+    if grid:
+        seeds = seeding.load_seeds(args.seeds) if args.seeds else None
         reports = evaluation.run_ablation(
             src, tgt, seeds, truth, grid,
             adv_cfg=_config(adversarial.AdvConfig, args),
@@ -231,8 +232,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _write_csv(
             args.ablation_out, f"{config_echo} ablation={args.ablation}",
             ["stages", "k", "accuracy"],
-            ([name, k, f"{report.topk[k]:.6f}"]
-             for name, report in reports.items() for k in k_list),
+            ([name, k, f"{topk[k]:.6f}"]
+             for name, topk in reports.items() for k in k_list),
         )
     return 0
 
@@ -312,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", default=None,
                    help="comma list of stage combinations in the --stages "
                    "order, e.g. S,S+A,S+A+R")
-    p.add_argument("--seeds", default=None, help="seed TSV (needed for --ablation)")
+    p.add_argument("--seeds", default=None,
+                   help="seed TSV (needed when an --ablation item contains S)")
     p.add_argument("--multi-target", action="store_true",
                    help="allow several expected targets per source")
     p.add_argument("--out", default=None)

@@ -79,9 +79,6 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index[token]
 
-    def count(self, token: str) -> int:
-        return self.counts[self._index[token]]
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 

@@ -10,7 +10,7 @@ such chains.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +35,16 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Expected (source, target) mappings, optionally tagged with package labels.
+    """Expected (source, target) mappings.
 
     A source token may map to several targets only when ``multi_target`` is
     set; a hit then means any expected target was retrieved.
     """
 
     pairs: tuple[tuple[str, str], ...]
-    packages: tuple[str | None, ...] = ()
     multi_target: bool = False
 
     def __post_init__(self) -> None:
-        if self.packages and len(self.packages) != len(self.pairs):
-            raise ValueError("packages must align with pairs")
         if not self.multi_target:
             seen: dict[str, str] = {}
             for s, t in self.pairs:
@@ -72,14 +69,6 @@ class GroundTruth:
             table.setdefault(s, set()).add(t)
         return table
 
-    def restricted_to_sources(self, keep: set[str]) -> "GroundTruth":
-        idx = [i for i, (s, _) in enumerate(self.pairs) if s in keep]
-        return GroundTruth(
-            tuple(self.pairs[i] for i in idx),
-            tuple(self.packages[i] for i in idx) if self.packages else (),
-            self.multi_target,
-        )
-
 
 @dataclass
 class CoverageRow:
@@ -102,26 +91,10 @@ class GroupSimilarity:
     pair_count: int
 
 
-@dataclass
-class EvalReport:
-    """Metric bundle for one configuration."""
-
-    config: dict = field(default_factory=dict)
-    topk: dict[int, float] = field(default_factory=dict)
-    oov_misses: int = 0
-
-
 def load_ground_truth(path: str, multi_target: bool = False) -> GroundTruth:
-    """Read a TSV of ``source<TAB>target[<TAB>package_label]`` rows."""
-    pairs: list[tuple[str, str]] = []
-    packages: list[str | None] = []
-    for _, cols in read_tsv(path, widths=(2, 3)):
-        pairs.append((cols[0], cols[1]))
-        packages.append(cols[2] if len(cols) == 3 else None)
-    has_labels = any(p is not None for p in packages)
-    return GroundTruth(
-        tuple(pairs), tuple(packages) if has_labels else (), multi_target
-    )
+    """Read a TSV of ``source<TAB>target`` rows; a third column is ignored."""
+    pairs = tuple((cols[0], cols[1]) for _, cols in read_tsv(path, widths=(2, 3)))
+    return GroundTruth(pairs, multi_target)
 
 
 def _results_by_source(
@@ -334,28 +307,23 @@ def run_stages(
 def run_ablation(
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
-    seeds: SeedDictionary,
+    seeds: SeedDictionary | None,
     truth: GroundTruth,
     grid: list[str],
     adv_cfg: AdvConfig | None = None,
     ref_cfg: RefineConfig | None = None,
     k_list: tuple[int, ...] = (1, 5, 10),
     rng_seed: int = 0,
-) -> dict[str, EvalReport]:
-    """Run each stage combination with ``run_stages`` and report its top-k
-    accuracy, keyed by the combination's canonical name."""
+) -> dict[str, dict[int, float]]:
+    """Top-k accuracy per k of each stage combination run by ``run_stages``,
+    keyed by the combination's canonical name; ``seeds`` may be None without S."""
     adv_cfg = adv_cfg if adv_cfg is not None else AdvConfig()
     ref_cfg = ref_cfg if ref_cfg is not None else RefineConfig()
-    reports: dict[str, EvalReport] = {}
+    reports: dict[str, dict[int, float]] = {}
     sources = truth.sources()
     for combo in grid:
         name = parse_stages(combo)
         w = run_stages(name, src, tgt, seeds, adv_cfg, ref_cfg, rng_seed)
         results = batch_query(sources, w, src, tgt, max(k_list))
-        oov = sum(1 for r in results if r.oov)
-        reports[name] = EvalReport(
-            config={"stages": name, "seeds": len(seeds), "rng_seed": rng_seed},
-            topk={k: topk_accuracy(results, truth, k) for k in k_list},
-            oov_misses=oov,
-        )
+        reports[name] = {k: topk_accuracy(results, truth, k) for k in k_list}
     return reports

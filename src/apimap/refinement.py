@@ -21,7 +21,7 @@ from .seeding import (
     MappingMatrix,
     STAGE_REFINED,
     SeedDictionary,
-    _sign_fixed_svd,
+    nearest_orthogonal,
     seed_matrices,
     solve_procrustes,
 )
@@ -57,7 +57,7 @@ class RefineConfig:
             raise ValueError("selection_topk must be >= 1")
 
 
-def _aligned_scan(
+def aligned_scan(
     w: MappingMatrix | np.ndarray, src: EmbeddingSpace, tgt: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every source mapped under W and unit-normalized, with its nearest target.
@@ -72,7 +72,22 @@ def _aligned_scan(
     return mapped, nn[:, 0], best[:, 0]
 
 
-def _frequency_pairs(scan, src, tgt, k, mutual_nn) -> SeedDictionary:
+def candidates_topk_frequency(
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    src: EmbeddingSpace,
+    tgt: EmbeddingSpace,
+    k: int,
+    mutual_nn: bool = True,
+) -> SeedDictionary:
+    """Pair each of the k most frequent source tokens with its nearest neighbor
+    in ``scan = aligned_scan(w, src, tgt)``.
+
+    With ``mutual_nn`` a pair survives only if the source is in turn the
+    nearest mapped source of its chosen target, the standard quality filter
+    for synthetic dictionaries.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     mapped, nn, _ = scan
     k = min(k, len(src))
     nn = nn[:k]
@@ -85,7 +100,20 @@ def _frequency_pairs(scan, src, tgt, k, mutual_nn) -> SeedDictionary:
     )
 
 
-def _threshold_pairs(scan, src, tgt, threshold) -> SeedDictionary:
+def candidates_cosine_threshold(
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    src: EmbeddingSpace,
+    tgt: EmbeddingSpace,
+    threshold: float,
+) -> SeedDictionary:
+    """All (source, nearest neighbor) pairs of ``scan = aligned_scan(w, src, tgt)``
+    with cosine at or above the threshold.
+
+    Not every API has a counterpart, so an empty dictionary is a legitimate
+    outcome at high thresholds.
+    """
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must be in (0, 1)")
     _, nn, best = scan
     return SeedDictionary(
         tuple(
@@ -93,40 +121,6 @@ def _threshold_pairs(scan, src, tgt, threshold) -> SeedDictionary:
             for i in np.flatnonzero(best >= threshold)
         )
     )
-
-
-def candidates_topk_frequency(
-    w: MappingMatrix | np.ndarray,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    k: int,
-    mutual_nn: bool = True,
-) -> SeedDictionary:
-    """Pair each of the k most frequent source tokens with its nearest neighbor.
-
-    With ``mutual_nn`` a pair survives only if the source is in turn the
-    nearest mapped source of its chosen target, the standard quality filter
-    for synthetic dictionaries.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _frequency_pairs(_aligned_scan(w, src, tgt), src, tgt, k, mutual_nn)
-
-
-def candidates_cosine_threshold(
-    w: MappingMatrix | np.ndarray,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    threshold: float,
-) -> SeedDictionary:
-    """All (source, nearest neighbor) pairs with cosine at or above the threshold.
-
-    Not every API has a counterpart, so an empty dictionary is a legitimate
-    outcome at high thresholds.
-    """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
-    return _threshold_pairs(_aligned_scan(w, src, tgt), src, tgt, threshold)
 
 
 def combine_candidates(
@@ -163,12 +157,6 @@ def write_refine_report(steps: list[RefineStep], path: str) -> None:
             out.writerow([step.iteration, step.candidates, f"{step.criterion:.6f}"])
 
 
-def _orthogonal_part(w: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix (polar factor via SVD)."""
-    u, _, vt = _sign_fixed_svd(w)
-    return u @ vt
-
-
 def refine(
     w2: MappingMatrix,
     src: EmbeddingSpace,
@@ -200,16 +188,16 @@ def refine(
     if report is not None:
         report.append(RefineStep(0, 0, selection_criterion(w2.w, src, tgt, k_sel)))
 
-    base = _orthogonal_part(w2.w)
+    base = nearest_orthogonal(w2.w)
     best_w = base
     best_criterion = selection_criterion(base, src, tgt, k_sel)
     current = w2.w
     previous: SeedDictionary | None = None
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
-        scan = _aligned_scan(current, src, tgt)
-        by_freq = _frequency_pairs(scan, src, tgt, cfg.topk, cfg.mutual_nn)
-        by_sim = _threshold_pairs(scan, src, tgt, cfg.threshold)
+        scan = aligned_scan(current, src, tgt)
+        by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk, cfg.mutual_nn)
+        by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
         # the mapped sources need not stay resident through the criterion's scan
         del scan
         combined = combine_candidates(by_freq, by_sim, cfg.mode)

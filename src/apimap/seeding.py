@@ -122,20 +122,10 @@ def seed_matrices(
     return x, y
 
 
-def _sign_fixed_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD with each left singular vector's first nonzero entry made non-negative.
-
-    Sign flips are applied to matching rows of V^T, so the product U @ Vt is
-    unchanged; the convention only pins down a reproducible branch.
-    """
-    u, s, vt = np.linalg.svd(m)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        if nonzero.size and col[nonzero[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, s, vt
+def nearest_orthogonal(m: np.ndarray) -> np.ndarray:
+    """The orthogonal polar factor U V^T of m, where U S V^T is the SVD of m."""
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
 
 
 def solve_procrustes(x_s: np.ndarray, y_s: np.ndarray) -> MappingMatrix:
@@ -153,9 +143,7 @@ def solve_procrustes(x_s: np.ndarray, y_s: np.ndarray) -> MappingMatrix:
         raise ValueError("at least one seed pair is required")
     x = unit_rows(x_s)
     y = unit_rows(y_s)
-    u, _, vt = _sign_fixed_svd(y.T @ x)
-    w = u @ vt
-    return MappingMatrix(w, STAGE_SEEDED, orthogonal=True)
+    return MappingMatrix(nearest_orthogonal(y.T @ x), STAGE_SEEDED, orthogonal=True)
 
 
 def solve_gradient_descent(

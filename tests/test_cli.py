@@ -340,6 +340,28 @@ class TestQueryAndEval:
         assert code == 2
         assert not out.exists()
 
+    def test_eval_ablation_without_s_needs_no_seeds(self, aligned, tmp_path):
+        abl = tmp_path / "ablation.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--k-list", "1,5",
+                   "--ablation", "R", "--refine-iters", "1",
+                   "--out", str(tmp_path / "report.csv"), "--ablation-out", str(abl))
+        assert code == 0
+        rows = abl.read_text().splitlines()
+        assert rows[1] == "stages,k,accuracy"
+        assert [r.split(",")[:2] for r in rows[2:]] == [["R", "1"], ["R", "5"]]
+
+    @pytest.mark.parametrize("grid", ["S,R", "R,S+R"])
+    def test_eval_ablation_item_with_s_needs_seeds(self, aligned, tmp_path, grid):
+        out = tmp_path / "report.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--ablation", grid,
+                   "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_eval_thresholds_query_once(self, aligned, tmp_path, monkeypatch):
         from apimap import evaluation, query
         from apimap.seeding import load_matrix

@@ -88,7 +88,7 @@ class TestSignatureTable:
 class TestBuildVocabulary:
     def test_direct_counts(self):
         vocab = build_vocabulary([["a", "b", "a"]], min_count=1)
-        assert vocab.count("a") == 2 and vocab.count("b") == 1
+        assert vocab.counts == [2, 1]
         assert vocab.index("a") == 0 and vocab.index("b") == 1
 
     def test_min_count_threshold(self):
@@ -97,7 +97,7 @@ class TestBuildVocabulary:
 
     def test_lexicographic_tie_break(self):
         vocab = build_vocabulary([["x", "y"], ["y", "x"]], min_count=1)
-        assert vocab.count("x") == 2 and vocab.count("y") == 2
+        assert vocab.counts == [2, 2]
         assert vocab.index("x") == 0
 
     def test_empty_corpus_raises(self):

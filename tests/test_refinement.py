@@ -12,6 +12,7 @@ from apimap.embedding import EmbeddingSpace
 from apimap.refinement import (
     RefineConfig,
     RefineStep,
+    aligned_scan,
     candidates_cosine_threshold,
     candidates_topk_frequency,
     combine_candidates,
@@ -44,7 +45,8 @@ class TestTopkFrequencyCandidates:
         vecs = rng.normal(size=(30, 8))
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs, prefix="t")
-        pairs = candidates_topk_frequency(np.eye(8), src, tgt, k=10)
+        scan = aligned_scan(np.eye(8), src, tgt)
+        pairs = candidates_topk_frequency(scan, src, tgt, k=10)
         assert list(pairs) == [(f"s{i:04d}", f"t{i:04d}") for i in range(10)]
 
     def test_default_k_is_500(self):
@@ -59,16 +61,18 @@ class TestTopkFrequencyCandidates:
         # brute-force expectation: source i sits at target row argwhere(perm == i)
         expected = {(f"s{i:04d}", f"t{int(np.flatnonzero(perm == i)[0]):04d}")
                     for i in range(12)}
-        pairs = candidates_topk_frequency(np.eye(10), src, tgt, k=12)
+        scan = aligned_scan(np.eye(10), src, tgt)
+        pairs = candidates_topk_frequency(scan, src, tgt, k=12)
         assert set(pairs) == expected
 
     def test_mutual_filter_drops_contested_targets(self):
         # two sources share the same nearest target; only the reciprocal wins
         src = space_from([[1.0, 0.0], [0.9, 0.1]], prefix="s")
         tgt = space_from([[1.0, 0.0]], prefix="t")
-        kept = candidates_topk_frequency(np.eye(2), src, tgt, k=2, mutual_nn=True)
+        scan = aligned_scan(np.eye(2), src, tgt)
+        kept = candidates_topk_frequency(scan, src, tgt, k=2, mutual_nn=True)
         assert list(kept) == [("s0000", "t0000")]
-        loose = candidates_topk_frequency(np.eye(2), src, tgt, k=2, mutual_nn=False)
+        loose = candidates_topk_frequency(scan, src, tgt, k=2, mutual_nn=False)
         assert len(loose) == 2
 
 
@@ -81,7 +85,9 @@ class TestCosineThresholdCandidates:
         src = space_from(rng.normal(size=(40, 12)), prefix="s")
         tgt = space_from(rng.normal(size=(40, 12)), prefix="t")
         w = random_orthogonal(12, rng)
-        pairs = candidates_cosine_threshold(w, src, tgt, threshold=0.999)
+        pairs = candidates_cosine_threshold(
+            aligned_scan(w, src, tgt), src, tgt, threshold=0.999
+        )
         assert len(pairs) <= 1
 
     def test_separates_aligned_from_unaligned(self):
@@ -91,7 +97,8 @@ class TestCosineThresholdCandidates:
             prefix="s",
         )
         tgt = space_from(aligned, prefix="t")
-        pairs = candidates_cosine_threshold(np.eye(3), src, tgt, threshold=0.95)
+        scan = aligned_scan(np.eye(3), src, tgt)
+        pairs = candidates_cosine_threshold(scan, src, tgt, threshold=0.95)
         assert set(pairs) == {("s0000", "t0000"), ("s0001", "t0001"), ("s0002", "t0002")}
 
     def test_never_allocates_a_full_similarity_matrix(self):
@@ -104,7 +111,8 @@ class TestCosineThresholdCandidates:
         tgt.unit_vectors  # cached before measuring, as refine reuses it
         tracemalloc.start()
         try:
-            pairs = candidates_cosine_threshold(np.eye(d), src, tgt, threshold=0.9)
+            scan = aligned_scan(np.eye(d), src, tgt)
+            pairs = candidates_cosine_threshold(scan, src, tgt, threshold=0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -114,7 +122,9 @@ class TestCosineThresholdCandidates:
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            candidates_cosine_threshold(np.eye(2), src, src, threshold=1.0)
+            candidates_cosine_threshold(
+                aligned_scan(np.eye(2), src, src), src, src, threshold=1.0
+            )
 
 
 class TestCombineCandidates:
@@ -140,8 +150,9 @@ class TestCombineCandidates:
         w = solve_procrustes(*seed_matrices(task.seeds, task.src, task.tgt)).w
         w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
         assert not np.allclose(w.T @ w, np.eye(12))
-        by_freq = candidates_topk_frequency(w, task.src, task.tgt, 200, mutual_nn)
-        by_sim = candidates_cosine_threshold(w, task.src, task.tgt, 0.6)
+        scan = aligned_scan(w, task.src, task.tgt)
+        by_freq = candidates_topk_frequency(scan, task.src, task.tgt, 200, mutual_nn)
+        by_sim = candidates_cosine_threshold(scan, task.src, task.tgt, 0.6)
         union = combine_candidates(by_freq, by_sim, "union")
         inter = combine_candidates(by_freq, by_sim, "intersection")
         assert len(union) > len(inter) > 0
@@ -236,8 +247,35 @@ class TestRefine:
         monkeypatch.undo()
         # each iteration's candidates are what the public heuristics give for its W
         for w, (by_freq, by_sim) in zip(seen[0::2], seen[1::2]):
-            assert by_freq == candidates_topk_frequency(w, task.src, task.tgt, 100)
-            assert by_sim == candidates_cosine_threshold(w, task.src, task.tgt, 0.7)
+            scan = aligned_scan(w, task.src, task.tgt)
+            assert by_freq == candidates_topk_frequency(scan, task.src, task.tgt, 100)
+            assert by_sim == candidates_cosine_threshold(scan, task.src, task.tgt, 0.7)
+
+    def test_refine_calls_public_heuristics_each_iteration(self, monkeypatch):
+        from apimap import refinement
+
+        task = make_paired_task(n=300, dim=12, noise=0.02, n_seeds=40, n_truth=50, seed=4)
+        w2 = MappingMatrix(
+            task.rotation + 0.05 * np.random.default_rng(1).normal(size=(12, 12)),
+            "adversarial",
+            orthogonal=False,
+        )
+        cfg = RefineConfig(topk=100, threshold=0.7, mode="union", max_iters=4,
+                           patience=4, selection_topk=300)
+        calls = {"candidates_topk_frequency": 0, "candidates_cosine_threshold": 0}
+        for name in calls:
+            real = getattr(refinement, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(refinement, name, counting)
+        report = []
+        refine(w2, task.src, task.tgt, cfg, report)
+        iterations = len(report) - 1
+        assert iterations >= 2
+        assert calls == {name: iterations for name in calls}
 
     def test_empty_candidates_warns_and_returns_baseline(self, caplog):
         rng = np.random.default_rng(5)
