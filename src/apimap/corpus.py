@@ -171,6 +171,16 @@ def read_tsv(path: str, widths: tuple[int, ...] = (2,)) -> Iterator[tuple[int, l
             yield lineno, cols
 
 
+def parse_float(text: str, path: str, lineno: int) -> float:
+    """``float(text)`` on what numpy's text reader takes too (ASCII, no "_"), else FormatError."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise FormatError(f"{path}:{lineno}: value {text!r} is not a number")
+
+
 def load_signature_table(entries_path: str, keywords_path: str | None = None) -> SignatureTable:
     """Load a signature table from a TSV file plus an optional keyword list.
 

@@ -18,14 +18,14 @@ throughput.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .corpus import CodeSequence, Vocabulary, build_vocabulary, read_tsv
+from .corpus import CodeSequence, Vocabulary, build_vocabulary, parse_float, read_tsv
 from .errors import FormatError
 from .similarity import TILE_BYTES, unit_rows
 
@@ -338,11 +338,11 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
     Values are written with 6 significant digits; loading a saved space
     reproduces vectors to within that rounding.
     """
+    row = " ".join(["%.6g"] * space.dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
-        for i, token in enumerate(space.vocab.tokens):
-            row = " ".join("%.6g" % v for v in space.vectors[i])
-            fh.write(f"{token} {row}\n")
+        for token, values in zip(space.vocab.tokens, space.vectors):
+            fh.write(f"{token} {row % tuple(values.tolist())}\n")
     with open(path + ".freq", "w", encoding="utf-8") as fh:
         for token, count in zip(space.vocab.tokens, space.vocab.counts):
             fh.write(f"{token}\t{count}\n")
@@ -358,31 +358,42 @@ def load_space(path: str) -> EmbeddingSpace:
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: malformed header {' '.join(header)!r}")
         try:
-            n, dim = int(header[0]), int(header[1])
+            n, dim = map(int, header)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed header {' '.join(header)!r}") from exc
         tokens: list[str] = []
-        rows = np.empty((n, dim))
-        filled = 0
-        for lineno, line in enumerate(fh, start=2):
-            cols = line.split()
-            if not cols:
-                continue
-            if len(cols) != dim + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: dimension mismatch, "
-                    f"expected {dim} values, got {len(cols) - 1}"
-                )
-            if filled >= n:
-                raise FormatError(f"{path}: row count mismatch, more than {n} rows")
-            tokens.append(cols[0])
-            rows[filled] = [float(v) for v in cols[1:]]
-            filled += 1
-        if filled != n:
-            raise FormatError(f"{path}: row count mismatch, header says {n}, got {filled}")
+
+        def values() -> Iterator[str]:
+            for line in fh:  # the one Python loop over rows; numpy parses the values in C
+                cols = line.split(None, 1)
+                tokens.extend(cols[:1])
+                yield cols[1] if len(cols) == 2 else ""  # loadtxt skips an empty line
+
+        try:  # a header of 0 rows skips loadtxt, which warns on empty input
+            rows = np.loadtxt(values(), dtype=np.float64, comments=None, ndmin=2) if n else None
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape != (n, dim) or len(tokens) != n:
+            # re-read line by line to raise the first fault; only a space with n or dim 0 passes
+            fh.seek(0)
+            fh.readline()
+            filled = 0
+            for lineno, line in enumerate(fh, start=2):
+                cols = line.split()
+                if not cols:
+                    continue
+                if len(cols) != dim + 1:
+                    raise FormatError(f"{path}:{lineno}: dimension mismatch, "
+                                      f"expected {dim} values, got {len(cols) - 1}")
+                if filled >= n:
+                    raise FormatError(f"{path}: row count mismatch, more than {n} rows")
+                for v in cols[1:]:
+                    parse_float(v, path, lineno)
+                filled += 1
+            if filled != n:
+                raise FormatError(f"{path}: row count mismatch, header says {n}, got {filled}")
+            rows = np.empty((n, dim))
 
     counts = [1] * n
     sidecar = path + ".freq"

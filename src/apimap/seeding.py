@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary, read_tsv
+from .corpus import Vocabulary, parse_float, read_tsv
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError, FormatError
 from .similarity import unit_rows
@@ -209,8 +209,9 @@ def save_matrix(matrix: MappingMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# stage: {matrix.stage}\n")
         fh.write(f"{matrix.dim}\n")
-        for row in matrix.w:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+        row = " ".join(["%.17g"] * matrix.dim)
+        for values in matrix.w:
+            fh.write(row % tuple(values.tolist()) + "\n")
 
 
 def load_matrix(path: str) -> MappingMatrix:
@@ -238,7 +239,7 @@ def load_matrix(path: str) -> MappingMatrix:
                 raise FormatError(
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}"
                 )
-            rows.append([float(v) for v in values])
+            rows.append([parse_float(v, path, lineno) for v in values])
     if dim is None or len(rows) != dim:
         raise FormatError(f"{path}: expected {dim or '?'} rows, got {len(rows)}")
     w = np.asarray(rows)

@@ -402,6 +402,14 @@ class TestExitCodes:
     def test_no_args_exits_2(self):
         assert run() == 2
 
+    def test_non_numeric_vector_value_exits_2_with_line(self, tmp_path, capsys):
+        (tmp_path / "s.txt").write_text("2 2\nx.A.b 1 0\ny.A.c 0 zero\n")
+        (tmp_path / "t.txt").write_text("1 2\nx.A.b 1 0\n")
+        code = run("seeds", "--src-emb", str(tmp_path / "s.txt"),
+                   "--tgt-emb", str(tmp_path / "t.txt"), "--out", str(tmp_path / "o.tsv"))
+        assert code == 2
+        assert "s.txt:3: value 'zero' is not a number" in capsys.readouterr().err
+
 
 class TestDefaults:
     def test_parsed_defaults_equal_config_defaults(self):

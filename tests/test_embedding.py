@@ -1,5 +1,7 @@
 """Tests for the skip-gram trainer and embedding-space persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,123 @@ class TestSpaceIO:
         (tmp_path / "space.txt.freq").write_text("a\t9\nb\tmany\n")
         with pytest.raises(FormatError, match=r"space\.txt\.freq:2: count 'many'"):
             load_space(str(path))
+
+
+# values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, the largest double, and %.6g outputs in exponent form
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e-05, 1.2345678e-7, -9.87654321e20, 123456789.0, 0.1, 1 / 3]
+
+
+def write_vectors(path, rows):
+    body = "".join(f"t{i} {' '.join(r)}\n" for i, r in enumerate(rows))
+    path.write_text(f"{len(rows)} {len(rows[0])}\n{body}")
+
+
+class TestSpaceTextParse:
+    @pytest.mark.parametrize("spec", ["%.17g", "%.6g"])
+    def test_values_equal_float_bit_for_bit(self, tmp_path, spec):
+        rng = np.random.default_rng(11)
+        spread = rng.standard_normal(480) * 10.0 ** rng.integers(-300, 300, 480)
+        values = np.concatenate([EDGE_VALUES, spread]).reshape(41, len(EDGE_VALUES))
+        text = [[spec % v for v in row] for row in values]
+        path = tmp_path / "space.txt"
+        write_vectors(path, text)
+        loaded = load_space(str(path)).vectors
+        expected = np.array([[float(v) for v in row] for row in text])
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3\na 1 2 3\nb 4 5 6\nc 7 8\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:4: dimension mismatch, "
+                                              r"expected 3 values, got 2$"):
+            load_space(str(path))
+
+    def test_long_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3\na 1 2 3\nb 4 5 6\nc 7 8 9 10\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:4: dimension mismatch, "
+                                              r"expected 3 values, got 4$"):
+            load_space(str(path))
+
+    def test_every_row_too_short_names_the_first(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3\na 1 2\nb 4 5\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:2: dimension mismatch"):
+            load_space(str(path))
+
+    def test_token_without_values_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1\na 1\nb\nc 3\nd 4\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:3: dimension mismatch, "
+                                              r"expected 1 values, got 0$"):
+            load_space(str(path))
+
+    def test_more_rows_than_header(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\na 1 2\nb 3 4\nc 5 6\n")
+        with pytest.raises(FormatError, match=r"bad\.txt: row count mismatch, more than 2 rows$"):
+            load_space(str(path))
+
+    def test_fewer_rows_than_header(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\na 1 2\n\nb 3 4\n")
+        with pytest.raises(FormatError, match=r"row count mismatch, header says 3, got 2$"):
+            load_space(str(path))
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\na 1 2\nb 3 x\nc 5\nd 7 8\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:3: value 'x' is not a number$"):
+            load_space(str(path))
+
+    def test_non_numeric_value_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\na 1 2\nb 3 4\nc 5 five\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:4: value 'five' is not a number$"):
+            load_space(str(path))
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff11", "0x10", "nan(1)"])
+    def test_numbers_numpy_does_not_read_are_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2\na 1 2\nb 3 {value}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"bad.txt:3: value '{value}' is not")):
+            load_space(str(path))
+
+    def test_blank_lines_and_trailing_spaces_accepted(self, tmp_path):
+        # word2vec's C tool ends every row with a space
+        path = tmp_path / "space.txt"
+        path.write_text("2 3 \n\na 1 2 3 \n   \nb\t4 5 6\t \n\n")
+        loaded = load_space(str(path))
+        assert loaded.vocab.tokens == ["a", "b"]
+        np.testing.assert_array_equal(loaded.vectors, [[1, 2, 3], [4, 5, 6]])
+
+    def test_zero_row_header_loads_empty_space(self, tmp_path):
+        path = tmp_path / "space.txt"
+        path.write_text("0 4\n")
+        loaded = load_space(str(path))
+        assert loaded.vectors.shape == (0, 4)
+        assert len(loaded) == 0 and loaded.dim == 4
+        path.write_text("0 4\na 1 2 3 4\n")
+        with pytest.raises(FormatError, match="more than 0 rows"):
+            load_space(str(path))
+
+
+class TestSpaceTextWrite:
+    def test_bytes_equal_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((5, len(EDGE_VALUES))) * 1e-3
+        vectors[0] = EDGE_VALUES
+        tokens = [f"tok{i}" for i in range(5)]
+        path = tmp_path / "space.txt"
+        save_space(EmbeddingSpace(vectors, Vocabulary(tokens, [5, 4, 3, 2, 1])), str(path))
+        expected = f"5 {len(EDGE_VALUES)}\n" + "".join(
+            t + " " + " ".join("%.6g" % v for v in row) + "\n" for t, row in zip(tokens, vectors)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "-0 " in expected and "e-05" in expected and "e+308" in expected
 
 
 class TestEmbeddingSpace:

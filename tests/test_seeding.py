@@ -199,6 +199,26 @@ class TestMatrixIO:
         with pytest.raises(FormatError):
             load_matrix(str(path))
 
+    def test_non_numeric_value_names_its_line(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("# stage: seeded\n2\n1.0 0.0\n0.0 one\n")
+        with pytest.raises(FormatError, match=r"w\.txt:4: value 'one' is not a number$"):
+            load_matrix(str(path))
+
+    def test_bytes_equal_per_value_formatting(self, tmp_path):
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, 1e-05, 1.2345678e-7, -9.87654321e20]
+        w = np.random.default_rng(9).standard_normal((6, 6))
+        w[0] = edge
+        path = tmp_path / "w.txt"
+        save_matrix(MappingMatrix(w, "refined"), str(path))
+        expected = "# stage: refined\n6\n" + "".join(
+            " ".join("%.17g" % v for v in row) + "\n" for row in w
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        with np.errstate(over="ignore"):  # the orthogonality check squares 1.8e308
+            loaded = load_matrix(str(path))
+        assert np.array_equal(loaded.w.view(np.int64), w.view(np.int64))
+
     def test_stage_validation(self):
         with pytest.raises(ValueError):
             MappingMatrix(np.eye(2), "bogus")
