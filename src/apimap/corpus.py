@@ -7,6 +7,7 @@ signature table), keywords / AST node labels (passed through), or noise (dropped
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -172,12 +173,17 @@ def read_tsv(path: str, widths: tuple[int, ...] = (2,)) -> Iterator[tuple[int, l
 
 
 def parse_float(text: str, path: str, lineno: int) -> float:
-    """``float(text)`` on what numpy's text reader takes too (ASCII, no "_"), else FormatError."""
+    """``float(text)`` on what numpy's text reader takes too (ASCII, no "_"), else
+    FormatError; a nan or infinite value is a FormatError as well."""
     if text.isascii() and "_" not in text:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             pass
+        else:
+            if not math.isfinite(value):
+                raise FormatError(f"{path}:{lineno}: value {text!r} is not finite")
+            return value
     raise FormatError(f"{path}:{lineno}: value {text!r} is not a number")
 
 

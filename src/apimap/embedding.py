@@ -351,6 +351,9 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
 def load_space(path: str) -> EmbeddingSpace:
     """Read a word2vec text-format space; uses the frequency sidecar if present.
 
+    A malformed header or row, a dimension below 1, and a nan or infinite
+    value raise FormatError naming the file and, for a row, its line.
+
     With a sidecar, counts must be non-increasing down the vector file's rows,
     since later stages take the first rows as the most frequent tokens; a
     sidecar that breaks this order raises FormatError. Without one, every
@@ -362,6 +365,8 @@ def load_space(path: str) -> EmbeddingSpace:
             n, dim = map(int, header)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed header {' '.join(header)!r}") from exc
+        if dim < 1:
+            raise FormatError(f"{path}: dimension {dim} in header is below 1")
         tokens: list[str] = []
 
         def values() -> Iterator[str]:
@@ -374,8 +379,9 @@ def load_space(path: str) -> EmbeddingSpace:
             rows = np.loadtxt(values(), dtype=np.float64, comments=None, ndmin=2) if n else None
         except ValueError:
             rows = None
-        if rows is None or rows.shape != (n, dim) or len(tokens) != n:
-            # re-read line by line to raise the first fault; only a space with n or dim 0 passes
+        if (rows is None or rows.shape != (n, dim) or len(tokens) != n
+                or not np.isfinite(rows).all()):
+            # re-read line by line to raise the first fault; only a space with n 0 passes
             fh.seek(0)
             fh.readline()
             filled = 0
@@ -418,16 +424,3 @@ def load_space(path: str) -> EmbeddingSpace:
                 )
     return EmbeddingSpace(rows, Vocabulary(tokens, counts))
 
-
-__all__ = [
-    "TrainConfig",
-    "EmbeddingSpace",
-    "train_skipgram",
-    "sgns_loss",
-    "sgns_step",
-    "subsample_keep_probs",
-    "save_space",
-    "load_space",
-    "MIN_LEARNING_RATE",
-    "STEP_PAIRS",
-]

@@ -2,19 +2,17 @@
 
 Covers top-k accuracy against a ground-truth pair list, precision/recall/F
 over emitted mappings, coverage/accuracy trade-off tables across similarity
-thresholds, package-level cluster similarity, the one stage grammar and chain
-of the seeding / adversarial / refinement stages, and an ablation driver over
-such chains.
+thresholds, the one stage grammar and chain of the seeding / adversarial /
+refinement stages, and an ablation driver over such chains.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import AdvConfig, AdvEpoch, _mapped, train_adversarial
+from .adversarial import AdvConfig, AdvEpoch, train_adversarial
 from .corpus import read_tsv
 from .embedding import EmbeddingSpace
 from .errors import FormatError
@@ -28,9 +26,6 @@ from .seeding import (
     seed_matrices,
     solve_procrustes,
 )
-from .similarity import unit_rows
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,16 +74,6 @@ class CoverageRow:
     coverage: float
     accuracy_covered: float
     accuracy_overall: float
-
-
-@dataclass
-class GroupSimilarity:
-    """Average cross-product cosine between two aligned package clusters."""
-
-    src_prefix: str
-    tgt_prefix: str
-    average: float
-    pair_count: int
 
 
 def load_ground_truth(path: str, multi_target: bool = False) -> GroundTruth:
@@ -218,41 +203,6 @@ def coverage_rows(
                 )
             )
     return rows
-
-
-def group_similarity(
-    w: MappingMatrix,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    package_pairs: list[tuple[str, str]],
-) -> list[GroupSimilarity]:
-    """Average mapped-to-target cosine over the member cross product of each
-    aligned package pair. Pairs with no members on either side are skipped.
-
-    The mean over the cross product is the dot product of the two member sums
-    divided by the pair count, so no members x members matrix is built."""
-    out: list[GroupSimilarity] = []
-    for src_prefix, tgt_prefix in package_pairs:
-        if not src_prefix or not tgt_prefix:
-            raise ValueError("package prefixes must be non-empty")
-        src_idx = [
-            i for i, t in enumerate(src.vocab.tokens) if t.startswith(src_prefix + ".")
-        ]
-        tgt_idx = [
-            i for i, t in enumerate(tgt.vocab.tokens) if t.startswith(tgt_prefix + ".")
-        ]
-        if not src_idx or not tgt_idx:
-            log.warning(
-                "skipping package pair (%s, %s): empty membership", src_prefix, tgt_prefix
-            )
-            continue
-        src_sum = unit_rows(_mapped(w, src.vectors[src_idx])).sum(axis=0)
-        tgt_sum = tgt.unit_vectors[tgt_idx].sum(axis=0)
-        count = len(src_idx) * len(tgt_idx)
-        out.append(
-            GroupSimilarity(src_prefix, tgt_prefix, float(src_sum @ tgt_sum) / count, count)
-        )
-    return out
 
 
 def parse_stages(spec: str) -> str:

@@ -52,47 +52,6 @@ def map_vector(w: MappingMatrix | np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
-def nearest_neighbors(
-    v: np.ndarray,
-    tgt: EmbeddingSpace,
-    k: int,
-    threshold: float | None = None,
-    query_token: str = "",
-) -> QueryResult:
-    """Exact top-k target tokens by cosine similarity to v.
-
-    Ties are broken by vocabulary index. With a threshold, neighbors below it
-    are filtered out and the result may be empty. A zero query vector has no
-    defined cosine and raises ValueError.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if np.linalg.norm(v) == 0:
-        raise ValueError("undefined cosine for zero query vector")
-    return _ranked([query_token], unit_rows(v[None, :]), tgt, k, threshold)[0]
-
-
-def _ranked(
-    query_tokens: list[str],
-    queries_unit: np.ndarray,
-    tgt: EmbeddingSpace,
-    k: int,
-    threshold: float | None,
-) -> list[QueryResult]:
-    idx, sims = topk(queries_unit, tgt.unit_vectors, k)
-    tokens = tgt.vocab.tokens
-    return [
-        QueryResult(
-            token,
-            tuple(
-                (tokens[i], s)
-                for i, s in zip(row_idx.tolist(), row_sims.tolist())
-                if threshold is None or s >= threshold
-            ),
-        )
-        for token, row_idx, row_sims in zip(query_tokens, idx, sims)
-    ]
-
-
 def batch_query(
     tokens: list[str],
     w: MappingMatrix,
@@ -101,17 +60,34 @@ def batch_query(
     k: int,
     threshold: float | None = None,
 ) -> list[QueryResult]:
-    """Query each token; unknown source tokens yield an oov-marked result.
+    """Exact top-k target tokens by cosine similarity to each mapped source token.
 
-    Each result equals ``nearest_neighbors`` on the token's mapped vector.
+    Each result equals the same token queried alone. Ties are broken by
+    vocabulary index. With a threshold, neighbors below it are filtered out
+    and a result may be empty. Unknown source tokens yield an oov-marked
+    result. A token whose mapped vector is zero has no defined cosine and
+    raises ValueError naming the first such token.
     """
     known = [t for t in tokens if t in src]
     mapped = np.empty((len(known), src.dim))
     for i, token in enumerate(known):
         mapped[i] = map_vector(w, src.vector(token))
-    if not np.all(np.linalg.norm(mapped, axis=1) > 0):
-        raise ValueError("undefined cosine for zero query vector")
-    ranked = iter(_ranked(known, unit_rows(mapped), tgt, k, threshold))
+    zero = np.flatnonzero(~(np.linalg.norm(mapped, axis=1) > 0))
+    if zero.size:
+        raise ValueError(f"undefined cosine for zero query vector of {known[zero[0]]!r}")
+    idx, sims = topk(unit_rows(mapped), tgt.unit_vectors, k)
+    names = tgt.vocab.tokens
+    ranked = (
+        QueryResult(
+            token,
+            tuple(
+                (names[i], s)
+                for i, s in zip(row_idx.tolist(), row_sims.tolist())
+                if threshold is None or s >= threshold
+            ),
+        )
+        for token, row_idx, row_sims in zip(known, idx, sims)
+    )
     return [
         next(ranked) if t in src else QueryResult(t, (), oov=True) for t in tokens
     ]

@@ -1,9 +1,9 @@
 """Seed mining and the initial linear mapping between two embedding spaces.
 
 Seeds are API pairs whose case-folded class-and-method name suffix coincides
-across the two vocabularies. The mapping is solved either in closed form on
-the orthogonal group (SVD of the seed cross-covariance) or by unconstrained
-gradient descent as a baseline.
+across the two vocabularies. The mapping is solved in closed form on the
+orthogonal group (SVD of the seed cross-covariance). Mapping matrices are
+saved and loaded as text.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Vocabulary, parse_float, read_tsv
 from .embedding import EmbeddingSpace
-from .errors import DivergenceError, FormatError
+from .errors import FormatError
 from .similarity import unit_rows
 
 STAGE_SEEDED = "seeded"
@@ -146,46 +146,6 @@ def solve_procrustes(x_s: np.ndarray, y_s: np.ndarray) -> MappingMatrix:
     return MappingMatrix(nearest_orthogonal(y.T @ x), STAGE_SEEDED, orthogonal=True)
 
 
-def solve_gradient_descent(
-    x_s: np.ndarray,
-    y_s: np.ndarray,
-    lr: float = 0.1,
-    iters: int = 1000,
-) -> MappingMatrix:
-    """Unconstrained least-squares baseline: minimize mean ||W x_i - y_i||^2.
-
-    Full-batch gradient descent from W = 0. The result is not orthogonal in
-    general. Raises DivergenceError when the loss increases for 10 consecutive
-    iterations.
-    """
-    if lr <= 0:
-        raise ValueError("lr must be > 0")
-    x = unit_rows(x_s)
-    y = unit_rows(y_s)
-    if x.ndim != 2 or x.shape != y.shape:
-        raise ValueError("seed matrices must have identical |S| x d shapes")
-    n, d = x.shape
-    w = np.zeros((d, d))
-    prev_loss = np.inf
-    rising = 0
-    for _ in range(iters):
-        residual = x @ w.T - y
-        loss = float(np.sum(residual**2)) / n
-        if loss > prev_loss:
-            rising += 1
-            if rising >= 10:
-                raise DivergenceError(
-                    f"gradient descent diverged, loss rose 10 iterations in a row "
-                    f"(last loss {loss:.6g})"
-                )
-        else:
-            rising = 0
-        prev_loss = loss
-        grad = (2.0 / n) * residual.T @ x
-        w -= lr * grad
-    return MappingMatrix(w, STAGE_SEEDED, orthogonal=False)
-
-
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an orthogonal matrix via QR of a Gaussian matrix (Haar-ish)."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
@@ -215,6 +175,8 @@ def save_matrix(matrix: MappingMatrix, path: str) -> None:
 
 
 def load_matrix(path: str) -> MappingMatrix:
+    """Read a matrix written by ``save_matrix``. A malformed line, a dimension
+    below 1 and a nan or infinite value raise FormatError naming the file."""
     stage = STAGE_SEEDED
     rows: list[list[float]] = []
     dim: int | None = None
@@ -233,6 +195,8 @@ def load_matrix(path: str) -> MappingMatrix:
                     dim = int(line)
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: expected dimension header") from exc
+                if dim < 1:
+                    raise FormatError(f"{path}:{lineno}: dimension {dim} in header is below 1")
                 continue
             values = line.split()
             if len(values) != dim:

@@ -9,8 +9,10 @@ from numpy.random import default_rng
 
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
+from apimap.errors import DivergenceError
 from apimap.evaluation import GroundTruth
-from apimap.seeding import MappingMatrix, SeedDictionary, random_orthogonal
+from apimap.seeding import STAGE_SEEDED, MappingMatrix, SeedDictionary, random_orthogonal
+from apimap.similarity import unit_rows
 
 
 @dataclass
@@ -107,6 +109,47 @@ def oracle_top1(w, src: EmbeddingSpace, tgt: EmbeddingSpace, truth_idx: np.ndarr
     mapped = mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
     sims = mapped @ tgt.unit_vectors.T
     return float(np.mean(sims.argmax(axis=1) == truth_idx[:, 1]))
+
+
+def solve_gradient_descent(
+    x_s: np.ndarray,
+    y_s: np.ndarray,
+    lr: float = 0.1,
+    iters: int = 1000,
+) -> MappingMatrix:
+    """Unconstrained least-squares baseline to the Procrustes solution:
+    minimize mean ||W x_i - y_i||^2 over unit-normalized seed rows.
+
+    Full-batch gradient descent from W = 0. The result is not orthogonal in
+    general. Raises DivergenceError when the loss increases for 10 consecutive
+    iterations.
+    """
+    if lr <= 0:
+        raise ValueError("lr must be > 0")
+    x = unit_rows(x_s)
+    y = unit_rows(y_s)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError("seed matrices must have identical |S| x d shapes")
+    n, d = x.shape
+    w = np.zeros((d, d))
+    prev_loss = np.inf
+    rising = 0
+    for _ in range(iters):
+        residual = x @ w.T - y
+        loss = float(np.sum(residual**2)) / n
+        if loss > prev_loss:
+            rising += 1
+            if rising >= 10:
+                raise DivergenceError(
+                    f"gradient descent diverged, loss rose 10 iterations in a row "
+                    f"(last loss {loss:.6g})"
+                )
+        else:
+            rising = 0
+        prev_loss = loss
+        grad = (2.0 / n) * residual.T @ x
+        w -= lr * grad
+    return MappingMatrix(w, STAGE_SEEDED, orthogonal=False)
 
 
 def brute_force_neighbors(v: np.ndarray, vectors: np.ndarray, k: int):

@@ -411,6 +411,24 @@ class TestExitCodes:
         assert "s.txt:3: value 'zero' is not a number" in capsys.readouterr().err
 
 
+    def test_non_finite_vector_value_exits_2_naming_the_file(self, tmp_path, capsys):
+        (tmp_path / "s.txt").write_text("1 2\nx.A.b 1 0\n")
+        (tmp_path / "t.txt").write_text("2 2\nx.A.b 1 0\ny.A.c nan 1\n")
+        code = run("seeds", "--src-emb", str(tmp_path / "s.txt"),
+                   "--tgt-emb", str(tmp_path / "t.txt"), "--out", str(tmp_path / "o.tsv"))
+        assert code == 2
+        assert "t.txt:3: value 'nan' is not finite" in capsys.readouterr().err
+
+    def test_zero_query_vector_exits_2_naming_the_token(self, tmp_path, capsys):
+        (tmp_path / "s.txt").write_text("3 2\nx.A.b 1 0\ny.A.c 0 0\nz.A.d 0 0\n")
+        (tmp_path / "t.txt").write_text("1 2\nx.A.b 1 0\n")
+        (tmp_path / "w.txt").write_text("# stage: seeded\n2\n1 0\n0 1\n")
+        code = run("query", "x.A.b", "z.A.d", "y.A.c", "--matrix", str(tmp_path / "w.txt"),
+                   "--src-emb", str(tmp_path / "s.txt"), "--tgt-emb", str(tmp_path / "t.txt"))
+        assert code == 2
+        assert "zero query vector of 'z.A.d'" in capsys.readouterr().err
+
+
 class TestDefaults:
     def test_parsed_defaults_equal_config_defaults(self):
         parser = cli.build_parser()

@@ -412,6 +412,20 @@ class TestSpaceTextParse:
         with pytest.raises(FormatError, match=re.escape(f"bad.txt:3: value '{value}' is not")):
             load_space(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2\na 1 2\nb 3 {value}\n")
+        with pytest.raises(FormatError, match=re.escape(f"bad.txt:3: value '{value}' is not finite")):
+            load_space(str(path))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_names_the_file(self, tmp_path, dim):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 {dim}\na\n")
+        with pytest.raises(FormatError, match=rf"bad\.txt: dimension {dim} in header is below 1$"):
+            load_space(str(path))
+
     def test_blank_lines_and_trailing_spaces_accepted(self, tmp_path):
         # word2vec's C tool ends every row with a space
         path = tmp_path / "space.txt"

@@ -1,7 +1,5 @@
 """Tests for accuracy, precision/recall/F, coverage tables, and the ablation grid."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from apimap.evaluation import (
     coverage_accuracy_table,
     coverage_rows,
     f_score,
-    group_similarity,
     load_ground_truth,
     parse_stages,
     precision_recall_f,
@@ -185,44 +182,6 @@ class TestCoverageAccuracyTable:
         _, _, truth = self.cluster_space()
         with pytest.raises(ValueError, match="not queried"):
             coverage_rows([], truth, [0.5])
-
-
-class TestGroupSimilarity:
-    def test_matches_cross_product_brute_force(self):
-        rng = np.random.default_rng(3)
-        src_tokens = [f"java.io.F{i}.m" for i in range(4)] + ["java.net.Url.open"]
-        tgt_tokens = [f"System.IO.G{i}.M" for i in range(3)] + ["System.Net.Http.Get"]
-        src = space_from(rng.normal(size=(5, 6)), tokens=src_tokens)
-        tgt = space_from(rng.normal(size=(4, 6)), tokens=tgt_tokens)
-        w = MappingMatrix(np.eye(6), "seeded", orthogonal=True)
-        out = group_similarity(w, src, tgt, [("java.io", "System.IO")])
-        mapped = src.vectors[:4]
-        mapped = mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
-        tgt_unit = tgt.vectors[:3] / np.linalg.norm(tgt.vectors[:3], axis=1, keepdims=True)
-        expected = float(np.mean([m @ t for m in mapped for t in tgt_unit]))
-        assert out[0].average == pytest.approx(expected, abs=1e-12)
-        assert out[0].pair_count == 12
-
-    def test_single_token_packages(self):
-        src = space_from([[1.0, 0.0]], tokens=["java.math.BigInt.add"])
-        tgt = space_from([[0.6, 0.8]], tokens=["System.Math.Big.Add"])
-        w = MappingMatrix(np.eye(2), "seeded", orthogonal=True)
-        out = group_similarity(w, src, tgt, [("java.math", "System.Math")])
-        assert out[0].average == pytest.approx(0.6)
-
-    def test_empty_membership_skipped_with_warning(self, caplog):
-        src = space_from([[1.0, 0.0]], tokens=["java.io.File.open"])
-        tgt = space_from([[1.0, 0.0]], tokens=["System.IO.File.Open"])
-        w = MappingMatrix(np.eye(2), "seeded")
-        with caplog.at_level(logging.WARNING):
-            out = group_similarity(w, src, tgt, [("java.sql", "System.Data")])
-        assert out == []
-        assert "empty membership" in caplog.text
-
-    def test_empty_prefix_rejected(self):
-        src = space_from([[1.0, 0.0]])
-        with pytest.raises(ValueError):
-            group_similarity(MappingMatrix(np.eye(2), "seeded"), src, src, [("", "x")])
 
 
 class TestRunAblation:

@@ -6,7 +6,7 @@ import pytest
 from apimap import similarity
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
-from apimap.query import QueryResult, batch_query, map_vector, nearest_neighbors
+from apimap.query import QueryResult, batch_query, map_vector
 from apimap.seeding import MappingMatrix, random_orthogonal
 
 from helpers import brute_force_neighbors
@@ -18,6 +18,14 @@ def space_from(vectors, prefix="t"):
         np.asarray(vectors, dtype=float),
         Vocabulary([f"{prefix}{i:04d}" for i in range(n)], range(2 * n, n, -1)),
     )
+
+
+def query_vector(v, tgt, k, threshold=None):
+    """``batch_query`` of one vector: W = I over a source space whose one row is v."""
+    v = np.asarray(v, dtype=float)
+    src = EmbeddingSpace(v[None, :], Vocabulary(["q"], [1]))
+    w = MappingMatrix(np.eye(len(v)), "seeded", orthogonal=True)
+    return batch_query(["q"], w, src, tgt, k, threshold)[0]
 
 
 class TestMapVector:
@@ -45,16 +53,18 @@ class TestMapVector:
 
 
 class TestNearestNeighbors:
+    """One vector queried alone through ``batch_query``."""
+
     def test_existing_vector_is_its_own_neighbor(self):
         rng = np.random.default_rng(1)
         space = space_from(rng.normal(size=(20, 6)))
-        result = nearest_neighbors(space.vectors[7], space, k=1)
+        result = query_vector(space.vectors[7], space, k=1)
         assert result.neighbors[0][0] == "t0007"
         assert result.neighbors[0][1] == pytest.approx(1.0)
 
     def test_three_token_hand_order(self):
         space = space_from([[1.0, 0.0], [0.7, 0.7], [0.0, 1.0]])
-        result = nearest_neighbors(np.array([1.0, 0.1]), space, k=3)
+        result = query_vector(np.array([1.0, 0.1]), space, k=3)
         assert result.tokens == ["t0000", "t0001", "t0002"]
 
     def test_matches_brute_force_on_randomized_spaces(self):
@@ -65,7 +75,7 @@ class TestNearestNeighbors:
             space = space_from(rng.normal(size=(n, d)))
             v = rng.normal(size=d)
             k = int(rng.integers(1, n + 1))
-            result = nearest_neighbors(v, space, k=k)
+            result = query_vector(v, space, k=k)
             oracle = brute_force_neighbors(v, space.vectors, k)
             assert result.tokens == [space.vocab.tokens[i] for i, _ in oracle]
             for (_, got), (_, want) in zip(result.neighbors, oracle):
@@ -74,19 +84,21 @@ class TestNearestNeighbors:
     def test_threshold_filters_and_may_empty(self):
         space = space_from([[1.0, 0.0], [0.0, 1.0]])
         v = np.array([1.0, 0.05])
-        kept = nearest_neighbors(v, space, k=2, threshold=0.9)
+        kept = query_vector(v, space, k=2, threshold=0.9)
         assert kept.tokens == ["t0000"]
-        none = nearest_neighbors(v, space, k=2, threshold=0.9999)
+        none = query_vector(v, space, k=2, threshold=0.9999)
         assert none.tokens == []
 
     def test_zero_vector_rejected(self):
         space = space_from([[1.0, 0.0]])
-        with pytest.raises(ValueError, match="undefined cosine"):
-            nearest_neighbors(np.zeros(2), space, k=1)
+        src = space_from([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], prefix="s")
+        w = MappingMatrix(np.eye(2), "seeded", orthogonal=True)
+        with pytest.raises(ValueError, match="undefined cosine for zero query vector of 's0002'$"):
+            batch_query(["s0000", "s0002", "s0001"], w, src, space, k=1)
 
     def test_ties_break_by_vocabulary_index(self):
         space = space_from([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        result = nearest_neighbors(np.array([2.0, 0.0]), space, k=4)
+        result = query_vector(np.array([2.0, 0.0]), space, k=4)
         assert result.tokens == ["t0001", "t0002", "t0003", "t0000"]
 
     def test_differences_below_float32_resolution_ranked_exactly(self):
@@ -96,7 +108,7 @@ class TestNearestNeighbors:
         v = np.array([0.5, 1.0])
         oracle = brute_force_neighbors(v, space.vectors, 3)
         assert [i for i, _ in oracle] == [5, 4, 3]
-        result = nearest_neighbors(v, space, k=3)
+        result = query_vector(v, space, k=3)
         assert result.tokens == ["t0005", "t0004", "t0003"]
         for (_, got), (_, want) in zip(result.neighbors, oracle):
             assert got == pytest.approx(want, abs=1e-15)
@@ -105,7 +117,7 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(5)
         space = space_from(rng.normal(size=(30, 4)))
         v = rng.normal(size=4)
-        result = nearest_neighbors(v, space, k=45)
+        result = query_vector(v, space, k=45)
         oracle = brute_force_neighbors(v, space.vectors, 30)
         assert result.tokens == [space.vocab.tokens[i] for i, _ in oracle]
         idx, sims = similarity.topk(space.unit_vectors[:3], space.unit_vectors, 30)
@@ -116,9 +128,9 @@ class TestNearestNeighbors:
         rng = np.random.default_rng(3)
         space = space_from(rng.normal(size=(150, 12)))
         v = rng.normal(size=12)
-        base = nearest_neighbors(v, space, k=20)
+        base = query_vector(v, space, k=20)
         for c in (1e-6, 0.5, 3.0, 1e7):
-            scaled = nearest_neighbors(c * v, space, k=20)
+            scaled = query_vector(c * v, space, k=20)
             assert scaled.tokens == base.tokens
             for (_, a), (_, b) in zip(base.neighbors, scaled.neighbors):
                 assert a == pytest.approx(b, abs=1e-12)
@@ -145,9 +157,7 @@ class TestBatchQuery:
         tokens = [f"s{i:04d}" for i in rng.integers(0, 100, size=100)]
         batched = batch_query(tokens, w, src, tgt, k=5)
         for token, result in zip(tokens, batched):
-            single = nearest_neighbors(
-                map_vector(w, src.vector(token)), tgt, 5, query_token=token
-            )
+            single = query_vector(map_vector(w, src.vector(token)), tgt, 5)
             assert result.neighbors == single.neighbors
             assert result.query_token == token
 
@@ -168,7 +178,7 @@ class TestBatchQuery:
             for token, result in zip(tokens, batched):
                 oracle = brute_force_neighbors(src.vector(token), tgt.vectors, k)
                 assert result.tokens == [tgt.vocab.tokens[i] for i, _ in oracle]
-                single = nearest_neighbors(src.vector(token), tgt, k, query_token=token)
+                single = query_vector(src.vector(token), tgt, k)
                 assert result.neighbors == single.neighbors
         assert batch_query(tokens[:1], w, src, tgt, 3)[0].tokens == [
             "t0001", "t0003", "t0005"]
@@ -186,9 +196,7 @@ class TestBatchQuery:
         for k in (1, 7):
             batched = batch_query(tokens, w, src, tgt, k)
             for token, result in zip(tokens, batched):
-                single = nearest_neighbors(
-                    map_vector(w, src.vector(token)), tgt, k, query_token=token
-                )
+                single = query_vector(map_vector(w, src.vector(token)), tgt, k)
                 assert result.neighbors == single.neighbors
 
 

@@ -1,4 +1,7 @@
-"""Tests for signature seed mining and the two mapping solvers."""
+"""Tests for signature seed mining, the Procrustes solver against its gradient-descent
+baseline, and the seed and matrix files."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from apimap.seeding import (
     random_orthogonal,
     save_matrix,
     save_seeds,
-    solve_gradient_descent,
     solve_procrustes,
 )
+
+from helpers import solve_gradient_descent
 
 
 def vocab_of(tokens):
@@ -203,6 +207,23 @@ class TestMatrixIO:
         path = tmp_path / "w.txt"
         path.write_text("# stage: seeded\n2\n1.0 0.0\n0.0 one\n")
         with pytest.raises(FormatError, match=r"w\.txt:4: value 'one' is not a number$"):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        path = tmp_path / "w.txt"
+        path.write_text(f"# stage: seeded\n2\n1.0 0.0\n0.0 {value}\n")
+        with warnings.catch_warnings():
+            # rejected before the orthogonality check could warn on it
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=rf"w\.txt:4: value '{value}' is not finite$"):
+                load_matrix(str(path))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_names_the_file(self, tmp_path, dim):
+        path = tmp_path / "w.txt"
+        path.write_text(f"# stage: seeded\n{dim}\n")
+        with pytest.raises(FormatError, match=rf"w\.txt:2: dimension {dim} in header is below 1$"):
             load_matrix(str(path))
 
     def test_bytes_equal_per_value_formatting(self, tmp_path):
