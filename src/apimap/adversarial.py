@@ -9,7 +9,6 @@ nearest mapped neighbors), and returns the best snapshot seen.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -199,14 +198,6 @@ class Discriminator:
         return d_input
 
 
-def _matrix(w: MappingMatrix | np.ndarray) -> np.ndarray:
-    return w.w if isinstance(w, MappingMatrix) else np.asarray(w)
-
-
-def _mapped(w: MappingMatrix | np.ndarray, x_batch: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(x_batch) @ _matrix(w).T
-
-
 def _two_sided_loss(
     disc: Discriminator,
     w,
@@ -225,7 +216,7 @@ def _two_sided_loss(
     n_src = x.shape[0]
     if n_src == 0 or y.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    buf = disc._forward(_matrix(w), x, y, dropout_rng)
+    buf = disc._forward(np.asarray(w), x, y, dropout_rng)
     t, other, nll, log1m = buf.target, buf.other, buf.nll, buf.log1m
     t[:n_src] = target_mapped
     t[n_src:] = target_real
@@ -337,7 +328,7 @@ def selection_criterion(
         raise ValueError("k must be >= 1")
     if k > len(src):
         raise ValueError(f"k={k} exceeds source vocabulary size {len(src)}")
-    _, best = topk(unit_rows(_mapped(w, src.vectors[:k])), tgt.unit_vectors, 1)
+    _, best = topk(unit_rows(src.vectors[:k] @ np.asarray(w).T), tgt.unit_vectors, 1)
     return float(best.mean())
 
 
@@ -351,18 +342,6 @@ class AdvEpoch:
     map_loss: float
     disc_accuracy: float
     criterion: float
-
-
-def write_training_log(history: list[AdvEpoch], path: str) -> None:
-    """Write the per-epoch CSV log: epoch, L_D, L_W, disc accuracy, criterion."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(["epoch", "L_D", "L_W", "disc_accuracy", "criterion"])
-        for row in history:
-            out.writerow(
-                [row.epoch, f"{row.disc_loss:.6f}", f"{row.map_loss:.6f}",
-                 f"{row.disc_accuracy:.6f}", f"{row.criterion:.6f}"]
-            )
 
 
 def train_adversarial(

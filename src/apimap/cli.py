@@ -54,9 +54,6 @@ def _add_stage_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum iterations")
     g.add_argument("--refine-patience", dest="patience", type=int, default=d.patience,
                    help="iterations without improvement before stopping")
-    g.add_argument("--no-mutual-nn", dest="mutual_nn", action="store_false",
-                   help="disable the mutual-nearest-neighbor candidate filter "
-                   "(mutual_nn=%(default)s)")
 
 
 def _config(cls, args: argparse.Namespace):
@@ -96,13 +93,26 @@ def _output(path: str | None):
         yield fh
 
 
-def _write_csv(path: str | None, comment: str, header: list[str], rows) -> None:
-    """Write ``# config: <comment>``, then the header and rows as CSV."""
+def _write_csv(path: str | None, comment: str | None, header: list[str], rows) -> None:
+    """Write ``# config: <comment>`` unless comment is None, then header and rows as CSV."""
     with _output(path) as out:
-        out.write(f"# config: {comment}\n")
+        if comment is not None:
+            out.write(f"# config: {comment}\n")
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _number_list(flag: str, text: str, kind, in_range, expected: str) -> list:
+    """The comma-separated items of ``text`` as ``kind``; an item that does not
+    parse or fails ``in_range`` is a FormatError naming ``flag``."""
+    try:
+        values = [kind(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise FormatError(f"{flag}: {exc}") from exc
+    if not all(map(in_range, values)):
+        raise FormatError(f"{flag}: every item must be {expected}, got {text!r}")
+    return values
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -160,12 +170,15 @@ def _cmd_align(args: argparse.Namespace) -> int:
         print("seeding skipped: starting from a random orthogonal matrix")
     if "A" in stages:
         if args.log:
-            adversarial.write_training_log(history, args.log)
+            _write_csv(args.log, None, ["epoch", "L_D", "L_W", "disc_accuracy", "criterion"], (
+                [h.epoch, f"{h.disc_loss:.6f}", f"{h.map_loss:.6f}",
+                 f"{h.disc_accuracy:.6f}", f"{h.criterion:.6f}"] for h in history))
         best = max((h.criterion for h in history), default=float("nan"))
         print(f"adversarial: {len(history)} epochs, best criterion {best:.4f}")
     if "R" in stages:
         if args.refine_report:
-            refinement.write_refine_report(report, args.refine_report)
+            _write_csv(args.refine_report, None, ["iter", "candidates", "criterion"], (
+                [r.iteration, r.candidates, f"{r.criterion:.6f}"] for r in report))
         print(f"refinement: {max(0, len(report) - 1)} iterations")
 
     seeding.save_matrix(w, args.out_matrix)
@@ -197,9 +210,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     grid = [evaluation.parse_stages(g) for g in specs if g.strip()]
     if any("S" in name for name in grid) and not args.seeds:
         raise FormatError("--seeds is required when an --ablation item contains S")
+    k_list = tuple(_number_list("--k-list", args.k_list, int, lambda k: k >= 1,
+                                "an integer >= 1"))
+    thresholds = _number_list("--thresholds", args.thresholds, float, lambda t: 0 <= t < 1,
+                              "a number in [0, 1)") if args.thresholds else []
     src, tgt, w = _load_aligned(args)
     truth = evaluation.load_ground_truth(args.truth, args.multi_target)
-    k_list = tuple(int(k) for k in args.k_list.split(","))
     config_echo = (
         f"matrix={args.matrix} truth={args.truth} k_list={args.k_list} seed={args.rng_seed}"
     )
@@ -211,8 +227,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ["precision", f"{p:.6f}"], ["recall", f"{r:.6f}"], ["f_score", f"{f:.6f}"],
     ])
 
-    if args.thresholds:
-        thresholds = [float(t) for t in args.thresholds.split(",")]
+    if thresholds:
         rows = evaluation.coverage_rows(results, truth, thresholds, k_list)
         _write_csv(
             args.coverage_out, f"{config_echo} thresholds={args.thresholds}",

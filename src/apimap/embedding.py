@@ -351,8 +351,9 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
 def load_space(path: str) -> EmbeddingSpace:
     """Read a word2vec text-format space; uses the frequency sidecar if present.
 
-    A malformed header or row, a dimension below 1, and a nan or infinite
-    value raise FormatError naming the file and, for a row, its line.
+    A malformed header or row, a dimension below 1, a nan or infinite value
+    and a repeated token raise FormatError naming the file and, for a row,
+    its line; so does a token repeated in the sidecar.
 
     With a sidecar, counts must be non-increasing down the vector file's rows,
     since later stages take the first rows as the most frequent tokens; a
@@ -380,11 +381,11 @@ def load_space(path: str) -> EmbeddingSpace:
         except ValueError:
             rows = None
         if (rows is None or rows.shape != (n, dim) or len(tokens) != n
-                or not np.isfinite(rows).all()):
+                or not np.isfinite(rows).all() or len(set(tokens)) != n):
             # re-read line by line to raise the first fault; only a space with n 0 passes
             fh.seek(0)
             fh.readline()
-            filled = 0
+            seen: set[str] = set()
             for lineno, line in enumerate(fh, start=2):
                 cols = line.split()
                 if not cols:
@@ -392,13 +393,15 @@ def load_space(path: str) -> EmbeddingSpace:
                 if len(cols) != dim + 1:
                     raise FormatError(f"{path}:{lineno}: dimension mismatch, "
                                       f"expected {dim} values, got {len(cols) - 1}")
-                if filled >= n:
+                if len(seen) >= n:
                     raise FormatError(f"{path}: row count mismatch, more than {n} rows")
                 for v in cols[1:]:
                     parse_float(v, path, lineno)
-                filled += 1
-            if filled != n:
-                raise FormatError(f"{path}: row count mismatch, header says {n}, got {filled}")
+                if cols[0] in seen:
+                    raise FormatError(f"{path}:{lineno}: token {cols[0]!r} repeats an earlier row")
+                seen.add(cols[0])
+            if len(seen) != n:
+                raise FormatError(f"{path}: row count mismatch, header says {n}, got {len(seen)}")
             rows = np.empty((n, dim))
 
     counts = [1] * n
@@ -406,6 +409,8 @@ def load_space(path: str) -> EmbeddingSpace:
     if os.path.exists(sidecar):
         freq: dict[str, int] = {}
         for lineno, (token, count) in read_tsv(sidecar):
+            if token in freq:
+                raise FormatError(f"{sidecar}:{lineno}: token {token!r} repeats an earlier line")
             try:
                 freq[token] = int(count)
             except ValueError as exc:

@@ -43,15 +43,6 @@ class QueryResult:
         return [t for t, _ in self.neighbors]
 
 
-def map_vector(w: MappingMatrix | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the mapping: returns W x."""
-    m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)
-    x = np.asarray(x)
-    if m.ndim != 2 or x.shape != (m.shape[1],):
-        raise ValueError(f"dimension mismatch: W is {m.shape}, x is {x.shape}")
-    return m @ x
-
-
 def batch_query(
     tokens: list[str],
     w: MappingMatrix,
@@ -66,12 +57,18 @@ def batch_query(
     vocabulary index. With a threshold, neighbors below it are filtered out
     and a result may be empty. Unknown source tokens yield an oov-marked
     result. A token whose mapped vector is zero has no defined cosine and
-    raises ValueError naming the first such token.
+    raises ValueError naming the first such token; a W that is not d x d for
+    the source dimension d raises ValueError.
     """
+    m = np.asarray(w)
+    if m.shape != (src.dim, src.dim):
+        raise ValueError(f"dimension mismatch: W is {m.shape}, source dimension {src.dim}")
     known = [t for t in tokens if t in src]
     mapped = np.empty((len(known), src.dim))
+    # one product per token: a row of X @ W.T can differ in its last bits from
+    # the same row computed alone, and a batch must equal its queries run singly
     for i, token in enumerate(known):
-        mapped[i] = map_vector(w, src.vector(token))
+        mapped[i] = m @ src.vector(token)
     zero = np.flatnonzero(~(np.linalg.norm(mapped, axis=1) > 0))
     if zero.size:
         raise ValueError(f"undefined cosine for zero query vector of {known[zero[0]]!r}")

@@ -9,13 +9,12 @@ selection criterion.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import _mapped, selection_criterion
+from .adversarial import selection_criterion
 from .embedding import EmbeddingSpace
 from .seeding import (
     MappingMatrix,
@@ -39,7 +38,6 @@ class RefineConfig:
     mode: str = "intersection"
     max_iters: int = 5
     patience: int = 1
-    mutual_nn: bool = True
     selection_topk: int = 1000
 
     def __post_init__(self) -> None:
@@ -67,7 +65,7 @@ def aligned_scan(
     rows the values it would give them alone, so both heuristics can read
     this one scan.
     """
-    mapped = unit_rows(_mapped(w, src.vectors))
+    mapped = unit_rows(src.vectors @ np.asarray(w).T)
     nn, best = topk(mapped, tgt.unit_vectors, 1)
     return mapped, nn[:, 0], best[:, 0]
 
@@ -77,24 +75,20 @@ def candidates_topk_frequency(
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
     k: int,
-    mutual_nn: bool = True,
 ) -> SeedDictionary:
     """Pair each of the k most frequent source tokens with its nearest neighbor
     in ``scan = aligned_scan(w, src, tgt)``.
 
-    With ``mutual_nn`` a pair survives only if the source is in turn the
-    nearest mapped source of its chosen target, the standard quality filter
-    for synthetic dictionaries.
+    A pair survives only if the source is in turn the nearest mapped source of
+    its chosen target, the standard quality filter for synthetic dictionaries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mapped, nn, _ = scan
     k = min(k, len(src))
     nn = nn[:k]
-    keep = np.ones(k, dtype=bool)
-    if mutual_nn:
-        # best mapped source for each chosen target, searched over all sources
-        keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
+    # best mapped source for each chosen target, searched over all sources
+    keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
     return SeedDictionary(
         tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in range(k) if keep[i])
     )
@@ -148,15 +142,6 @@ class RefineStep:
     criterion: float
 
 
-def write_refine_report(steps: list[RefineStep], path: str) -> None:
-    """Write the per-iteration CSV report: iter, candidates, criterion."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = csv.writer(fh)
-        out.writerow(["iter", "candidates", "criterion"])
-        for step in steps:
-            out.writerow([step.iteration, step.candidates, f"{step.criterion:.6f}"])
-
-
 def refine(
     w2: MappingMatrix,
     src: EmbeddingSpace,
@@ -196,7 +181,7 @@ def refine(
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
         scan = aligned_scan(current, src, tgt)
-        by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk, cfg.mutual_nn)
+        by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk)
         by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
         # the mapped sources need not stay resident through the criterion's scan
         del scan

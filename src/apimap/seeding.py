@@ -66,6 +66,10 @@ class MappingMatrix:
         if self.stage not in _STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """W itself, so ``np.asarray`` takes a MappingMatrix or a bare array."""
+        return np.array(self.w, dtype=dtype, copy=copy)
+
     @property
     def dim(self) -> int:
         return self.w.shape[0]

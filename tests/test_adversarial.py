@@ -1,6 +1,5 @@
 """Tests for the adversarial losses, gradients, selection criterion, and trainer."""
 
-import csv
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from apimap.adversarial import (
     mapping_loss,
     selection_criterion,
     train_adversarial,
-    write_training_log,
 )
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
@@ -430,13 +428,6 @@ class TestTrainAdversarial:
             assert best >= max(run["epoch_criteria"]) - 1e-12
             assert best >= run["criterion_w1"] - 1e-12
 
-    def test_history_and_log_csv(self, tmp_path, sar_runs):
+    def test_history_numbers_every_epoch(self, sar_runs):
         history = sar_runs["runs"][0]["history"]
         assert [h.epoch for h in history] == list(range(1, len(history) + 1))
-        path = tmp_path / "log.csv"
-        write_training_log(history, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "L_D", "L_W", "disc_accuracy", "criterion"]
-        assert len(rows) == len(history) + 1
-        assert all(len(r) == 5 for r in rows[1:])

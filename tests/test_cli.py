@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -215,8 +216,24 @@ class TestAlign:
                    "--selection-topk", "50", "--refine-topk", "40",
                    "--refine-iters", "2", "--seed", "1")
         assert code == 0
-        assert log.read_text().startswith("epoch,L_D,L_W,disc_accuracy,criterion")
-        assert report.read_text().startswith("iter,candidates,criterion")
+        with open(log, newline="") as fh:
+            log_rows = list(csv.reader(fh))
+        assert log_rows[0] == ["epoch", "L_D", "L_W", "disc_accuracy", "criterion"]
+        assert [r[0] for r in log_rows[1:]] == ["1", "2"]
+        assert all(len(r) == 5 for r in log_rows[1:])
+        with open(report, newline="") as fh:
+            report_rows = list(csv.reader(fh))
+        assert report_rows[0] == ["iter", "candidates", "criterion"]
+        # the starting point is row 0, then one row per iteration run
+        iters = [r[0] for r in report_rows[1:]]
+        assert iters == [str(i) for i in range(len(iters))] and len(iters) in (2, 3)
+        assert report_rows[1][:2] == ["0", "0"]
+        assert all(len(r) == 3 for r in report_rows[1:])
+        # csv rows end in CRLF and values carry six decimals, with no config line
+        assert log.read_bytes().count(b"\r\n") == 3
+        assert report.read_bytes().startswith(b"iter,candidates,criterion\r\n")
+        values = [v for r in log_rows[1:] for v in r[1:]] + [r[2] for r in report_rows[1:]]
+        assert all(len(v.split(".")[1]) == 6 for v in values)
         from apimap.seeding import load_matrix
 
         assert load_matrix(str(matrix)).stage == "refined"
@@ -339,6 +356,19 @@ class TestQueryAndEval:
                    "--out", str(out))
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--thresholds", "0.5,1.5"), ("--thresholds", "0.5,x"),
+        ("--k-list", "0,5"), ("--k-list", "1,x")])
+    def test_eval_bad_number_list_exits_2_before_writing(self, aligned, tmp_path, capsys,
+                                                         flag, value):
+        out = tmp_path / "report.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), flag, value, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert f"apimap: error: {flag}: " in capsys.readouterr().err
 
     def test_eval_ablation_without_s_needs_no_seeds(self, aligned, tmp_path):
         abl = tmp_path / "ablation.csv"

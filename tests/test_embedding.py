@@ -321,6 +321,13 @@ class TestSpaceIO:
         (tmp_path / "space.txt.freq").write_text("a\t9\nb\t4\nc\t4\n")
         assert load_space(str(path)).vocab.counts == [9, 4, 4]
 
+    def test_sidecar_repeated_token_names_line(self, tmp_path):
+        path = tmp_path / "space.txt"
+        path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
+        (tmp_path / "space.txt.freq").write_text("a\t9\nb\t4\na\t2\n")
+        with pytest.raises(FormatError, match=r"space\.txt\.freq:3: token 'a' repeats"):
+            load_space(str(path))
+
     def test_sidecar_non_integer_count_names_line(self, tmp_path):
         path = tmp_path / "space.txt"
         path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
@@ -397,6 +404,12 @@ class TestSpaceTextParse:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\na 1 2\nb 3 x\nc 5\nd 7 8\n")
         with pytest.raises(FormatError, match=r"bad\.txt:3: value 'x' is not a number$"):
+            load_space(str(path))
+
+    def test_repeated_token_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\na 1 2\n\nb 3 4\na 5 6\n")
+        with pytest.raises(FormatError, match=r"bad\.txt:5: token 'a' repeats an earlier row$"):
             load_space(str(path))
 
     def test_non_numeric_value_names_its_line(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every public function and class in ``src/apimap`` has a caller outside the tests.
+"""Every public function and class in ``src/apimap`` has a caller outside the tests,
+and no module of the package or the benchmark uses another module's private names.
 
 A caller is a name or attribute reference in another part of the package (its
 ``__init__`` aside) or in the benchmark under ``apibench/``; a mention in a
@@ -38,3 +39,42 @@ def test_every_public_name_is_referenced_outside_the_tests():
         and node.name not in referenced | REFERENCE_LOSSES
     ]
     assert not unreferenced, f"only tests reference {unreferenced}"
+
+
+def private_reads(path: Path) -> list[str]:
+    """``_``-prefixed names that ``path`` imports from, or reads as an attribute
+    of, an apimap module other than itself (dunder names aside)."""
+    tree = parsed(path)
+    modules = set()  # local names bound to apimap modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or (node.module or "").split(".")[0] == "apimap"
+            if not package:
+                continue
+            source = node.module or "apimap"
+            for alias in node.names:
+                if node.module in (None, "apimap"):
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{path.stem} imports {source.lstrip('.')}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "apimap":
+                    modules.add(alias.asname or "apimap")
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            continue
+        base = node.value
+        while isinstance(base, ast.Attribute):
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in modules:
+            found.append(f"{path.stem} reads {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reads_a_private_name_of_another():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "apibench").glob("*.py"))
+    found = [line for path in paths for line in private_reads(path)]
+    assert not found, f"private names used across modules: {found}"

@@ -6,7 +6,7 @@ import pytest
 from apimap import similarity
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
-from apimap.query import QueryResult, batch_query, map_vector
+from apimap.query import QueryResult, batch_query
 from apimap.seeding import MappingMatrix, random_orthogonal
 
 from helpers import brute_force_neighbors
@@ -26,30 +26,6 @@ def query_vector(v, tgt, k, threshold=None):
     src = EmbeddingSpace(v[None, :], Vocabulary(["q"], [1]))
     w = MappingMatrix(np.eye(len(v)), "seeded", orthogonal=True)
     return batch_query(["q"], w, src, tgt, k, threshold)[0]
-
-
-class TestMapVector:
-    def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(map_vector(np.eye(3), x), x)
-
-    def test_rotation(self):
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(map_vector(rot, [1.0, 0.0]), [0.0, 1.0])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=(7, 7))
-        x = rng.normal(size=7)
-        expected = np.zeros(7)
-        for i in range(7):
-            for j in range(7):
-                expected[i] += w[i, j] * x[j]
-        np.testing.assert_allclose(map_vector(w, x), expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            map_vector(np.eye(3), np.ones(4))
 
 
 class TestNearestNeighbors:
@@ -149,6 +125,20 @@ class TestBatchQuery:
         assert len(results) == 1
         assert results[0].oov and results[0].neighbors == ()
 
+    def test_maps_by_w_times_x(self):
+        # a non-symmetric rotation: W x and W^T x land on opposite targets
+        src = space_from([[1.0, 0.0]], prefix="s")
+        tgt = space_from([[0.0, 1.0], [0.0, -1.0]])
+        w = MappingMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), "seeded", orthogonal=True)
+        result = batch_query(["s0000"], w, src, tgt, 2)[0]
+        assert result.tokens == ["t0000", "t0001"]
+        assert result.neighbors[0][1] == pytest.approx(1.0)
+
+    def test_dimension_mismatch(self):
+        src = space_from(np.eye(4), prefix="s")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            batch_query(["s0000"], MappingMatrix(np.eye(3), "seeded"), src, src, 1)
+
     def test_matches_individual_queries(self):
         rng = np.random.default_rng(4)
         src = space_from(rng.normal(size=(100, 9)), prefix="s")
@@ -157,7 +147,7 @@ class TestBatchQuery:
         tokens = [f"s{i:04d}" for i in rng.integers(0, 100, size=100)]
         batched = batch_query(tokens, w, src, tgt, k=5)
         for token, result in zip(tokens, batched):
-            single = query_vector(map_vector(w, src.vector(token)), tgt, 5)
+            single = query_vector(w.w @ src.vector(token), tgt, 5)
             assert result.neighbors == single.neighbors
             assert result.query_token == token
 
@@ -196,7 +186,7 @@ class TestBatchQuery:
         for k in (1, 7):
             batched = batch_query(tokens, w, src, tgt, k)
             for token, result in zip(tokens, batched):
-                single = query_vector(map_vector(w, src.vector(token)), tgt, k)
+                single = query_vector(w.w @ src.vector(token), tgt, k)
                 assert result.neighbors == single.neighbors
 
 

@@ -1,6 +1,5 @@
 """Tests for synthetic-dictionary candidate generation and iterative refinement."""
 
-import csv
 import logging
 import tracemalloc
 
@@ -11,13 +10,11 @@ from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
 from apimap.refinement import (
     RefineConfig,
-    RefineStep,
     aligned_scan,
     candidates_cosine_threshold,
     candidates_topk_frequency,
     combine_candidates,
     refine,
-    write_refine_report,
 )
 from apimap.seeding import (
     MappingMatrix,
@@ -70,10 +67,8 @@ class TestTopkFrequencyCandidates:
         src = space_from([[1.0, 0.0], [0.9, 0.1]], prefix="s")
         tgt = space_from([[1.0, 0.0]], prefix="t")
         scan = aligned_scan(np.eye(2), src, tgt)
-        kept = candidates_topk_frequency(scan, src, tgt, k=2, mutual_nn=True)
+        kept = candidates_topk_frequency(scan, src, tgt, k=2)
         assert list(kept) == [("s0000", "t0000")]
-        loose = candidates_topk_frequency(scan, src, tgt, k=2, mutual_nn=False)
-        assert len(loose) == 2
 
 
 class TestCosineThresholdCandidates:
@@ -142,8 +137,7 @@ class TestCombineCandidates:
         with pytest.raises(ValueError):
             combine_candidates(self.A, self.B, "xor")
 
-    @pytest.mark.parametrize("mutual_nn", [True, False])
-    def test_each_source_at_most_once(self, mutual_nn):
+    def test_each_source_at_most_once(self):
         # both heuristics take a source's nearest neighbour under the same W,
         # so neither combination can pair one source with two targets
         task = make_paired_task(n=400, dim=12, seed=2, decoy_frac=0.2)
@@ -151,7 +145,7 @@ class TestCombineCandidates:
         w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
         assert not np.allclose(w.T @ w, np.eye(12))
         scan = aligned_scan(w, task.src, task.tgt)
-        by_freq = candidates_topk_frequency(scan, task.src, task.tgt, 200, mutual_nn)
+        by_freq = candidates_topk_frequency(scan, task.src, task.tgt, 200)
         by_sim = candidates_cosine_threshold(scan, task.src, task.tgt, 0.6)
         union = combine_candidates(by_freq, by_sim, "union")
         inter = combine_candidates(by_freq, by_sim, "intersection")
@@ -225,25 +219,25 @@ class TestRefine:
         )
         cfg = RefineConfig(topk=100, threshold=0.7, mode="union", max_iters=4,
                            patience=4, selection_topk=300)
-        mapped_rows, seen = [], []
-        real_mapped, real_combine = refinement._mapped, refinement.combine_candidates
+        scans, seen = [], []
+        real_scan, real_combine = refinement.aligned_scan, refinement.combine_candidates
 
-        def counting_mapped(w, x):
-            mapped_rows.append(len(x))
+        def counting_scan(w, src, tgt):
+            scans.append(src)
             seen.append(np.array(w))
-            return real_mapped(w, x)
+            return real_scan(w, src, tgt)
 
         def recording_combine(a, b, mode):
             seen.append((a, b))
             return real_combine(a, b, mode)
 
-        monkeypatch.setattr(refinement, "_mapped", counting_mapped)
+        monkeypatch.setattr(refinement, "aligned_scan", counting_scan)
         monkeypatch.setattr(refinement, "combine_candidates", recording_combine)
         report = []
         refine(w2, task.src, task.tgt, cfg, report)
         iterations = len(report) - 1
         assert iterations >= 2
-        assert mapped_rows == [len(task.src)] * iterations
+        assert len(scans) == iterations and all(s is task.src for s in scans)
         monkeypatch.undo()
         # each iteration's candidates are what the public heuristics give for its W
         for w, (by_freq, by_sim) in zip(seen[0::2], seen[1::2]):
@@ -318,16 +312,6 @@ class TestRefine:
 
 
 class TestRefineReport:
-    def test_csv_columns(self, tmp_path):
-        steps = [RefineStep(0, 0, 0.5), RefineStep(1, 120, 0.8)]
-        path = tmp_path / "refine-report.csv"
-        write_refine_report(steps, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iter", "candidates", "criterion"]
-        assert rows[1][:2] == ["0", "0"]
-        assert rows[2][:2] == ["1", "120"]
-
     def test_refine_fills_report(self):
         task = make_paired_task(n=400, dim=10, n_seeds=30, n_truth=40, seed=6)
         w2 = MappingMatrix(task.rotation, "adversarial", orthogonal=True)
