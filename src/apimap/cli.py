@@ -45,7 +45,8 @@ def _add_stage_flags(p: argparse.ArgumentParser) -> None:
     d = refinement.RefineConfig
     g = p.add_argument_group("refinement stage")
     g.add_argument("--refine-topk", dest="topk", type=int, default=d.topk,
-                   help="frequent source tokens used for candidate pairs")
+                   help="frequent source tokens used for candidate pairs; in "
+                   "intersection mode only these can enter the dictionary")
     g.add_argument("--refine-threshold", dest="threshold", type=float, default=d.threshold,
                    help="cosine threshold for the similarity candidate heuristic")
     g.add_argument("--refine-mode", dest="mode", choices=["union", "intersection"],
@@ -216,6 +217,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                               "a number in [0, 1)") if args.thresholds else []
     src, tgt, w = _load_aligned(args)
     truth = evaluation.load_ground_truth(args.truth, args.multi_target)
+    seeds = seeding.load_seeds(args.seeds) if grid and args.seeds else None
     config_echo = (
         f"matrix={args.matrix} truth={args.truth} k_list={args.k_list} seed={args.rng_seed}"
     )
@@ -237,7 +239,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
 
     if grid:
-        seeds = seeding.load_seeds(args.seeds) if args.seeds else None
         reports = evaluation.run_ablation(
             src, tgt, seeds, truth, grid,
             adv_cfg=_config(adversarial.AdvConfig, args),

@@ -56,17 +56,22 @@ class RefineConfig:
 
 
 def aligned_scan(
-    w: MappingMatrix | np.ndarray, src: EmbeddingSpace, tgt: EmbeddingSpace
+    w: MappingMatrix | np.ndarray,
+    src: EmbeddingSpace,
+    tgt: EmbeddingSpace,
+    rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every source mapped under W and unit-normalized, with its nearest target.
+    """Every source mapped under W and unit-normalized, and the nearest target
+    of each of the first ``rows`` sources (all of them by default).
 
-    Returns ``(mapped_unit, nn, best)``: ``nn[i]`` and ``best[i]`` are the
-    nearest target of source i and their cosine. ``topk`` gives any subset of
-    rows the values it would give them alone, so both heuristics can read
-    this one scan.
+    Returns ``(mapped_unit, nn, best)``: ``mapped_unit`` holds every source;
+    ``nn[i]`` and ``best[i]`` are the nearest target of source i and their
+    cosine, for i below ``rows``. ``topk`` gives any subset of rows the values
+    it would give them alone, so both heuristics can read this one scan, and a
+    scan of the leading rows agrees with the full scan on those rows.
     """
     mapped = unit_rows(src.vectors @ np.asarray(w).T)
-    nn, best = topk(mapped, tgt.unit_vectors, 1)
+    nn, best = topk(mapped[:rows], tgt.unit_vectors, 1)
     return mapped, nn[:, 0], best[:, 0]
 
 
@@ -77,7 +82,8 @@ def candidates_topk_frequency(
     k: int,
 ) -> SeedDictionary:
     """Pair each of the k most frequent source tokens with its nearest neighbor
-    in ``scan = aligned_scan(w, src, tgt)``.
+    in ``scan = aligned_scan(w, src, tgt, rows)``; a scan of fewer than k rows
+    pairs only its scanned sources.
 
     A pair survives only if the source is in turn the nearest mapped source of
     its chosen target, the standard quality filter for synthetic dictionaries.
@@ -85,7 +91,7 @@ def candidates_topk_frequency(
     if k < 1:
         raise ValueError("k must be >= 1")
     mapped, nn, _ = scan
-    k = min(k, len(src))
+    k = min(k, len(nn))
     nn = nn[:k]
     # best mapped source for each chosen target, searched over all sources
     keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
@@ -100,8 +106,11 @@ def candidates_cosine_threshold(
     tgt: EmbeddingSpace,
     threshold: float,
 ) -> SeedDictionary:
-    """All (source, nearest neighbor) pairs of ``scan = aligned_scan(w, src, tgt)``
-    with cosine at or above the threshold.
+    """All (source, nearest neighbor) pairs of ``scan = aligned_scan(w, src, tgt,
+    rows)`` with cosine at or above the threshold.
+
+    Only the scanned sources are candidates: with ``rows`` given, the pairs
+    come from the first ``rows`` sources alone.
 
     Not every API has a counterpart, so an empty dictionary is a legitimate
     outcome at high thresholds.
@@ -161,6 +170,11 @@ def refine(
     iterations at all (max_iters=0), the input is returned unchanged. The
     fallback comparison baseline is the orthogonal part of the input, so any
     actually-refined result is always orthogonal.
+
+    In intersection mode a pair must come from the frequency heuristic, so its
+    source is among the ``cfg.topk`` most frequent: only those sources are
+    ranked against the targets, and the dictionary is the one a scan of every
+    source would give. Union mode ranks every source.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -179,8 +193,10 @@ def refine(
     current = w2.w
     previous: SeedDictionary | None = None
     stalled = 0
+    # no source past topk can enter an intersection
+    rows = cfg.topk if cfg.mode == "intersection" else None
     for iteration in range(1, cfg.max_iters + 1):
-        scan = aligned_scan(current, src, tgt)
+        scan = aligned_scan(current, src, tgt, rows)
         by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk)
         by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
         # the mapped sources need not stay resident through the criterion's scan

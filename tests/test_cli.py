@@ -357,6 +357,21 @@ class TestQueryAndEval:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [None, "only-one-column\n"])
+    def test_eval_bad_seed_file_exits_2_before_writing(self, aligned, tmp_path, content):
+        seeds = tmp_path / "bad_seeds.tsv"
+        assert not seeds.exists()
+        if content is not None:
+            seeds.write_text(content)
+        out, cov = tmp_path / "e.csv", tmp_path / "coverage.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--ablation", "S",
+                   "--seeds", str(seeds), "--thresholds", "0.5",
+                   "--out", str(out), "--coverage-out", str(cov))
+        assert code == 2
+        assert not out.exists() and not cov.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--thresholds", "0.5,1.5"), ("--thresholds", "0.5,x"),
         ("--k-list", "0,5"), ("--k-list", "1,x")])

@@ -36,6 +36,15 @@ def space_from(vectors, prefix="t"):
     )
 
 
+def decoy_task_and_start():
+    """400 paired tokens and 80 decoys a side, and a non-orthogonal start."""
+    task = make_paired_task(n=400, dim=12, seed=2, decoy_frac=0.2)
+    w = solve_procrustes(*seed_matrices(task.seeds, task.src, task.tgt)).w
+    w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
+    assert not np.allclose(w.T @ w, np.eye(12))
+    return task, MappingMatrix(w, "adversarial", orthogonal=False)
+
+
 class TestTopkFrequencyCandidates:
     def test_identity_spaces_pair_each_token_with_itself(self):
         rng = np.random.default_rng(0)
@@ -45,6 +54,10 @@ class TestTopkFrequencyCandidates:
         scan = aligned_scan(np.eye(8), src, tgt)
         pairs = candidates_topk_frequency(scan, src, tgt, k=10)
         assert list(pairs) == [(f"s{i:04d}", f"t{i:04d}") for i in range(10)]
+        # a scan of the leading rows pairs only the sources it scanned
+        short = aligned_scan(np.eye(8), src, tgt, rows=4)
+        kept = candidates_topk_frequency(short, src, tgt, k=10)
+        assert kept == SeedDictionary(pairs.pairs[:4])
 
     def test_default_k_is_500(self):
         assert RefineConfig().topk == 500
@@ -140,10 +153,7 @@ class TestCombineCandidates:
     def test_each_source_at_most_once(self):
         # both heuristics take a source's nearest neighbour under the same W,
         # so neither combination can pair one source with two targets
-        task = make_paired_task(n=400, dim=12, seed=2, decoy_frac=0.2)
-        w = solve_procrustes(*seed_matrices(task.seeds, task.src, task.tgt)).w
-        w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
-        assert not np.allclose(w.T @ w, np.eye(12))
+        task, w = decoy_task_and_start()
         scan = aligned_scan(w, task.src, task.tgt)
         by_freq = candidates_topk_frequency(scan, task.src, task.tgt, 200)
         by_sim = candidates_cosine_threshold(scan, task.src, task.tgt, 0.6)
@@ -222,10 +232,10 @@ class TestRefine:
         scans, seen = [], []
         real_scan, real_combine = refinement.aligned_scan, refinement.combine_candidates
 
-        def counting_scan(w, src, tgt):
+        def counting_scan(w, src, tgt, *rest):
             scans.append(src)
             seen.append(np.array(w))
-            return real_scan(w, src, tgt)
+            return real_scan(w, src, tgt, *rest)
 
         def recording_combine(a, b, mode):
             seen.append((a, b))
@@ -244,6 +254,49 @@ class TestRefine:
             scan = aligned_scan(w, task.src, task.tgt)
             assert by_freq == candidates_topk_frequency(scan, task.src, task.tgt, 100)
             assert by_sim == candidates_cosine_threshold(scan, task.src, task.tgt, 0.7)
+
+    @pytest.mark.parametrize("k", [100, 480, 1000])
+    def test_intersection_equals_refine_over_a_full_scan(self, monkeypatch, k):
+        from apimap import refinement
+
+        task, w2 = decoy_task_and_start()
+        assert len(task.src) == 480
+        cfg = RefineConfig(topk=k, threshold=0.6, mode="intersection", max_iters=4,
+                           patience=4, selection_topk=300)
+        shipped_report, full_report = [], []
+        shipped = refine(w2, task.src, task.tgt, cfg, shipped_report)
+        real_scan = refinement.aligned_scan
+        monkeypatch.setattr(refinement, "aligned_scan",
+                            lambda w, src, tgt, rows=None: real_scan(w, src, tgt))
+        full = refine(w2, task.src, task.tgt, cfg, full_report)
+        assert len(shipped_report) >= 3
+        assert all(step.candidates > 0 for step in shipped_report[1:])
+        assert shipped.w.tobytes() == full.w.tobytes()
+        assert shipped_report == full_report
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    @pytest.mark.parametrize("k", [100, 1000])
+    def test_forward_scan_ranks_only_sources_that_can_enter(self, monkeypatch, mode, k):
+        from apimap import refinement
+
+        task, w2 = decoy_task_and_start()
+        cfg = RefineConfig(topk=k, threshold=0.6, mode=mode, max_iters=3,
+                           patience=3, selection_topk=300)
+        forward = []
+        real_topk = refinement.topk
+
+        def recording_topk(queries, targets, kk):
+            if targets is task.tgt.unit_vectors:
+                forward.append(len(queries))
+            return real_topk(queries, targets, kk)
+
+        monkeypatch.setattr(refinement, "topk", recording_topk)
+        report = []
+        refine(w2, task.src, task.tgt, cfg, report)
+        n = len(task.src)
+        expected = min(k, n) if mode == "intersection" else n
+        assert len(report) >= 3
+        assert forward == [expected] * (len(report) - 1)
 
     def test_refine_calls_public_heuristics_each_iteration(self, monkeypatch):
         from apimap import refinement
