@@ -121,8 +121,10 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     lines = 0
     kept = 0
     dropped = 0
-    with open(args.out, "w", encoding="utf-8") as out:
-        for seq in corpus.read_corpus(getattr(args, "in")):
+    # the input is opened first, so a missing one leaves no --out file behind
+    with open(getattr(args, "in"), encoding="utf-8") as fh, \
+            open(args.out, "w", encoding="utf-8") as out:
+        for seq in map(str.split, fh):
             normalized, n_dropped = corpus.normalize_sequence(seq, table)
             if args.class_level:
                 normalized = corpus.to_class_level(normalized)

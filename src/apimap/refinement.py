@@ -67,8 +67,9 @@ def aligned_scan(
     Returns ``(mapped_unit, nn, best)``: ``mapped_unit`` holds every source;
     ``nn[i]`` and ``best[i]`` are the nearest target of source i and their
     cosine, for i below ``rows``. ``topk`` gives any subset of rows the values
-    it would give them alone, so both heuristics can read this one scan, and a
-    scan of the leading rows agrees with the full scan on those rows.
+    it would give them alone, so a scan of the leading rows agrees with the
+    full scan on them, and ``refine`` reads both heuristics and the selection
+    criterion (the mean of the leading ``best``) off this one scan of W.
     """
     mapped = unit_rows(src.vectors @ np.asarray(w).T)
     nn, best = topk(mapped[:rows], tgt.unit_vectors, 1)
@@ -171,10 +172,10 @@ def refine(
     fallback comparison baseline is the orthogonal part of the input, so any
     actually-refined result is always orthogonal.
 
-    In intersection mode a pair must come from the frequency heuristic, so its
-    source is among the ``cfg.topk`` most frequent: only those sources are
-    ranked against the targets, and the dictionary is the one a scan of every
-    source would give. Union mode ranks every source.
+    Each W, the input and then each solved one, is ranked against the targets
+    once by ``aligned_scan``, whose first ``selection_topk`` rows give its
+    criterion. Intersection mode ranks ``max(cfg.topk, selection_topk)``
+    sources, as no pair's source is past ``cfg.topk``; union mode ranks all.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -184,22 +185,20 @@ def refine(
         return MappingMatrix(w2.w.copy(), w2.stage, w2.orthogonal)
 
     k_sel = min(cfg.selection_topk, len(src))
+    best_w = nearest_orthogonal(w2.w)
+    best_criterion = selection_criterion(best_w, src, tgt, k_sel)
+    # no source past topk can enter an intersection; the criterion reads k_sel
+    rows = max(cfg.topk, k_sel) if cfg.mode == "intersection" else None
+    scan = aligned_scan(w2.w, src, tgt, rows)
+    criterion = float(scan[2][:k_sel].mean())
     if report is not None:
-        report.append(RefineStep(0, 0, selection_criterion(w2.w, src, tgt, k_sel)))
-
-    base = nearest_orthogonal(w2.w)
-    best_w = base
-    best_criterion = selection_criterion(base, src, tgt, k_sel)
-    current = w2.w
+        report.append(RefineStep(0, 0, criterion))
     previous: SeedDictionary | None = None
     stalled = 0
-    # no source past topk can enter an intersection
-    rows = cfg.topk if cfg.mode == "intersection" else None
     for iteration in range(1, cfg.max_iters + 1):
-        scan = aligned_scan(current, src, tgt, rows)
         by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk)
         by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
-        # the mapped sources need not stay resident through the criterion's scan
+        # the mapped sources need not stay resident through the next scan
         del scan
         combined = combine_candidates(by_freq, by_sim, cfg.mode)
         if len(combined) == 0:
@@ -212,9 +211,9 @@ def refine(
                 report.append(RefineStep(iteration, len(combined), criterion))
             break
         previous = combined
-        x_s, y_s = seed_matrices(combined, src, tgt)
-        solved = solve_procrustes(x_s, y_s)
-        criterion = selection_criterion(solved.w, src, tgt, k_sel)
+        solved = solve_procrustes(*seed_matrices(combined, src, tgt))
+        scan = aligned_scan(solved.w, src, tgt, rows)
+        criterion = float(scan[2][:k_sel].mean())
         if report is not None:
             report.append(RefineStep(iteration, len(combined), criterion))
         if criterion > best_criterion:
@@ -225,5 +224,4 @@ def refine(
             stalled += 1
             if stalled >= cfg.patience:
                 break
-        current = solved.w
     return MappingMatrix(best_w.copy(), STAGE_REFINED, orthogonal=True)

@@ -118,6 +118,14 @@ class TestNormalize:
                    "--table", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o.txt")) == 2
 
+    def test_missing_input_exits_2_without_writing(self, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text("A.b\tx.A.b\n")
+        out = tmp_path / "o.txt"
+        assert run("normalize", "--in", str(tmp_path / "missing.txt"),
+                   "--table", str(table), "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestEmbed:
     ARGS = ["--dim", "8", "--epochs", "1", "--negatives", "2", "--window", "2",

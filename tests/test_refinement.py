@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from apimap.adversarial import selection_criterion
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
 from apimap.refinement import (
@@ -19,6 +20,7 @@ from apimap.refinement import (
 from apimap.seeding import (
     MappingMatrix,
     SeedDictionary,
+    nearest_orthogonal,
     random_orthogonal,
     seed_matrices,
     solve_procrustes,
@@ -43,6 +45,37 @@ def decoy_task_and_start():
     w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
     assert not np.allclose(w.T @ w, np.eye(12))
     return task, MappingMatrix(w, "adversarial", orthogonal=False)
+
+
+def record_refine(monkeypatch, cfg):
+    """Refine the decoy task, recording every W ``aligned_scan`` ranks, every
+    W ``solve_procrustes`` returns and every ``selection_criterion`` call."""
+    from apimap import refinement
+
+    task, w2 = decoy_task_and_start()
+    scanned, solved, criterion_calls = [], [], []
+    real_scan, real_solve = refinement.aligned_scan, refinement.solve_procrustes
+    real_criterion = refinement.selection_criterion
+
+    def recording_scan(w, *rest):
+        scanned.append(np.array(w))
+        return real_scan(w, *rest)
+
+    def recording_solve(*args):
+        solved.append(real_solve(*args))
+        return solved[-1]
+
+    def recording_criterion(*args):
+        criterion_calls.append(args)
+        return real_criterion(*args)
+
+    monkeypatch.setattr(refinement, "aligned_scan", recording_scan)
+    monkeypatch.setattr(refinement, "solve_procrustes", recording_solve)
+    monkeypatch.setattr(refinement, "selection_criterion", recording_criterion)
+    report = []
+    refine(w2, task.src, task.tgt, cfg, report)
+    monkeypatch.undo()
+    return task, w2, report, scanned, [s.w for s in solved], criterion_calls
 
 
 class TestTopkFrequencyCandidates:
@@ -294,9 +327,33 @@ class TestRefine:
         report = []
         refine(w2, task.src, task.tgt, cfg, report)
         n = len(task.src)
-        expected = min(k, n) if mode == "intersection" else n
+        # intersection ranks the sources that can enter it and those the
+        # criterion reads; one forward scan per W, the input then each solved W
+        expected = min(max(k, 300), n) if mode == "intersection" else n
         assert len(report) >= 3
-        assert forward == [expected] * (len(report) - 1)
+        assert forward == [expected] * len(report)
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    def test_each_w_is_scanned_once(self, monkeypatch, mode):
+        cfg = RefineConfig(topk=100, threshold=0.6, mode=mode, max_iters=3,
+                           patience=3, selection_topk=300)
+        _, w2, report, scanned, solved, criterion_calls = record_refine(monkeypatch, cfg)
+        assert len(solved) >= 2
+        # the input, then each solved W, each once
+        assert [w.tobytes() for w in scanned] == [w.tobytes() for w in [w2.w, *solved]]
+        # the criterion is called for the baseline alone: the input's polar factor
+        assert len(criterion_calls) == 1
+        np.testing.assert_array_equal(criterion_calls[0][0], nearest_orthogonal(w2.w))
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    @pytest.mark.parametrize("k", [100, 1000])
+    def test_each_report_row_is_the_criterion_of_its_w(self, monkeypatch, mode, k):
+        cfg = RefineConfig(topk=k, threshold=0.6, mode=mode, max_iters=3,
+                           patience=3, selection_topk=300)
+        task, w2, report, _, solved, _ = record_refine(monkeypatch, cfg)
+        assert len(report) == len(solved) + 1 >= 3
+        for step, w in zip(report, [w2.w, *solved]):
+            assert step.criterion == selection_criterion(w, task.src, task.tgt, 300)
 
     def test_refine_calls_public_heuristics_each_iteration(self, monkeypatch):
         from apimap import refinement
