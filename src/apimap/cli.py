@@ -157,15 +157,14 @@ def _cmd_align(args: argparse.Namespace) -> int:
     stages = evaluation.parse_stages(args.stages)
     if "S" in stages and not args.seeds:
         raise FormatError("--seeds is required when the s stage is enabled")
+    adv_cfg = _config(adversarial.AdvConfig, args)
+    ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt = _load_space_pair(args)
     seeds = seeding.load_seeds(args.seeds) if "S" in stages else None
     history: list[adversarial.AdvEpoch] = []
     report: list[refinement.RefineStep] = []
-    w = evaluation.run_stages(
-        stages, src, tgt, seeds,
-        _config(adversarial.AdvConfig, args), _config(refinement.RefineConfig, args),
-        args.rng_seed, history, report,
-    )
+    w = evaluation.run_stages(stages, src, tgt, seeds, adv_cfg, ref_cfg,
+                              args.rng_seed, history, report)
     if seeds is not None:
         usable = seeds.restricted_to(src.vocab, tgt.vocab)
         print(f"seeding: solved on {len(usable)} usable seed pairs")
@@ -190,13 +189,15 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    src, tgt, w = _load_aligned(args)
     tokens = list(args.tokens)
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             tokens.extend(line.strip() for line in fh if line.strip())
     if not tokens:
         raise FormatError("no query tokens given (positional or --file)")
+    if args.k < 1:
+        raise FormatError(f"--k must be >= 1, got {args.k}")
+    src, tgt, w = _load_aligned(args)
     results = query.batch_query(tokens, w, src, tgt, args.k, args.threshold)
     with _output(args.out) as out:
         for r in results:
@@ -217,6 +218,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                                 "an integer >= 1"))
     thresholds = _number_list("--thresholds", args.thresholds, float, lambda t: 0 <= t < 1,
                               "a number in [0, 1)") if args.thresholds else []
+    if grid:
+        adv_cfg = _config(adversarial.AdvConfig, args)
+        ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt, w = _load_aligned(args)
     truth = evaluation.load_ground_truth(args.truth, args.multi_target)
     seeds = seeding.load_seeds(args.seeds) if grid and args.seeds else None
@@ -242,9 +246,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     if grid:
         reports = evaluation.run_ablation(
-            src, tgt, seeds, truth, grid,
-            adv_cfg=_config(adversarial.AdvConfig, args),
-            ref_cfg=_config(refinement.RefineConfig, args),
+            src, tgt, seeds, truth, grid, adv_cfg=adv_cfg, ref_cfg=ref_cfg,
             k_list=k_list, rng_seed=args.rng_seed,
         )
         _write_csv(

@@ -50,7 +50,9 @@ def topk(
     Both inputs are unit-normalized rows (see ``unit_rows``), so the dot
     product is the cosine. Returns ``(indices, similarities)``, each of shape
     ``(n_queries, min(k, n_targets))``, ordered by similarity descending with
-    ties broken by the lower target index. k=1 is the argmax.
+    ties broken by the lower target index. Each tile takes one path: the k-th
+    best float32 value of each row, then all candidates of the tile from one
+    scan of its flat mask.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -72,26 +74,12 @@ def topk(
     for lo in range(0, n_q, rows):
         q = queries_unit[lo:lo + rows]
         block = q.astype(np.float32) @ tgt32.T
-        if k == 1:
-            top = block.argmax(axis=1)[:, None]
-        else:
-            # row by row: one argpartition over the tile would hold an int64
-            # index array twice the float32 block's size (+28 % peak RSS on
-            # a d=50 S-A-R run) for the same indices
-            top = np.empty((len(q), k), dtype=np.int64)
-            for i in range(len(q)):
-                top[i] = np.argpartition(block[i], n_t - k)[n_t - k:]
-        kth = np.take_along_axis(block, top, axis=1).min(axis=1)
-        near = block >= (kth - margin)[:, None]
+        # the k-th best float32 value of each row, taken row by row because
+        # np.partition of the whole tile would copy the block
+        kth = block.max(axis=1) if k == 1 else np.array(
+            [np.partition(row, n_t - k)[n_t - k] for row in block])
+        r, c = np.divmod(np.flatnonzero(block >= (kth - margin)[:, None]), n_t)
         del block
-        # rows with no candidate beyond their top k need no index scan
-        tied = np.count_nonzero(near, axis=1) > k
-        tied_rows = np.flatnonzero(tied)
-        r_tied, c_tied = np.nonzero(near[tied_rows])
-        del near
-        plain = np.flatnonzero(~tied)
-        r = np.concatenate([np.repeat(plain, k), tied_rows[r_tied]])
-        c = np.concatenate([top[plain].ravel(), c_tied])
         exact = pair_sims(q, tgt_unit, r, c)
         order = np.lexsort((c, -exact, r))
         # after the sort each row's candidates are contiguous, at least k of them

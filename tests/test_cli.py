@@ -284,6 +284,13 @@ class TestAlign:
                    "--stages", "s", "--out-matrix", str(tmp_path / "w.txt"))
         assert code == 2
 
+    def test_bad_stage_flag_exits_2_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        code = run("align", "--src-emb", missing, "--tgt-emb", missing, "--stages", "r",
+                   "--refine-threshold", "1.5", "--out-matrix", str(tmp_path / "w.txt"))
+        assert code == 2
+        assert "apimap: error: threshold must be in (0, 1)" in capsys.readouterr().err
+
 
 class TestQueryAndEval:
     @pytest.fixture()
@@ -318,6 +325,13 @@ class TestQueryAndEval:
         assert run("query", "--matrix", str(aligned["matrix"]),
                    "--src-emb", str(aligned["src"]),
                    "--tgt-emb", str(aligned["tgt"])) == 2
+
+    def test_query_k_zero_exits_2_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        code = run("query", "--matrix", missing, "--src-emb", missing, "--tgt-emb", missing,
+                   "--k", "0", "some.token")
+        assert code == 2
+        assert "apimap: error: --k must be >= 1, got 0" in capsys.readouterr().err
 
     def test_query_threshold_filters(self, aligned, tmp_path):
         token = aligned["task"].truth.pairs[0][0]
@@ -364,6 +378,17 @@ class TestQueryAndEval:
                    "--out", str(out))
         assert code == 2
         assert not out.exists()
+
+    def test_eval_bad_stage_flag_exits_2_before_writing(self, aligned, tmp_path, capsys):
+        out, cov = tmp_path / "e.csv", tmp_path / "coverage.csv"
+        code = run("eval", "--matrix", str(aligned["matrix"]),
+                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+                   "--truth", str(aligned["truth"]), "--ablation", "S+R",
+                   "--seeds", str(aligned["seeds"]), "--refine-threshold", "1.5",
+                   "--thresholds", "0.5", "--out", str(out), "--coverage-out", str(cov))
+        assert code == 2
+        assert not out.exists() and not cov.exists()
+        assert "apimap: error: threshold must be in (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "only-one-column\n"])
     def test_eval_bad_seed_file_exits_2_before_writing(self, aligned, tmp_path, content):

@@ -1,5 +1,7 @@
 """Tests for exact nearest-neighbor queries over aligned spaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,71 @@ class TestBatchQuery:
             for token, result in zip(tokens, batched):
                 single = query_vector(w.w @ src.vector(token), tgt, k)
                 assert result.neighbors == single.neighbors
+
+
+def kernel_oracle(queries, targets, k):
+    """float64 similarity of every pair, one dot product each, ordered by
+    (-similarity, target index)."""
+    out = []
+    for q in queries:
+        sims = [float(t @ q) for t in targets]
+        order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))[:k]
+        out.append((order, [sims[i] for i in order]))
+    return out
+
+
+class TestTopkKernel:
+    """``similarity.topk`` itself, against a brute force and a memory bound."""
+
+    @staticmethod
+    def tie_heavy_inputs():
+        rng = np.random.default_rng(12)
+        d = 32
+        e = np.eye(d)
+        # rows 3 and 12-14 are equal; rows 15-17 differ below float32
+        # resolution; rows 18-37 differ by about the float32 error of a
+        # d-term sum, so float32 alone ranks them wrongly
+        tgt = rng.normal(size=(12, d))
+        center = rng.normal(size=d)
+        tgt = np.vstack([tgt, tgt[[3, 3, 3]], [e[0] + j * 1e-9 * e[1] for j in range(3)],
+                         center + 1e-7 * np.linalg.norm(center) * rng.normal(size=(20, d))])
+        queries = np.vstack([tgt[3], e[0] + 1e-3 * e[1], np.zeros(d), rng.normal(size=(5, d)),
+                             center + 0.3 * rng.normal(size=(6, d)), tgt[3]])
+        return similarity.unit_rows(queries), similarity.unit_rows(tgt)
+
+    @pytest.mark.parametrize("tile_rows", [1, 2, 7, None])
+    def test_matches_brute_force_on_ties_and_tiny_differences(self, monkeypatch, tile_rows):
+        queries, tgt = self.tie_heavy_inputs()
+        n_t = len(tgt)
+        if tile_rows is not None:
+            monkeypatch.setattr(similarity, "TILE_BYTES", tile_rows * 4 * n_t)
+        oracle = kernel_oracle(queries, tgt, n_t)
+        # the sub-float32 rows lead the second query, highest index first
+        assert oracle[1][0][:3] == [17, 16, 15]
+        for k in (1, 2, 3, n_t, n_t + 2):
+            idx, sims = similarity.topk(queries, tgt, k)
+            assert idx.shape == sims.shape == (len(queries), min(k, n_t))
+            for row, (want_idx, want_sims) in enumerate(oracle):
+                assert idx[row].tolist() == want_idx[:k]
+                assert sims[row] == pytest.approx(want_sims[:k], abs=1e-12)
+
+    def test_peak_memory_within_two_tiles(self):
+        rng = np.random.default_rng(13)
+        n_q, n_t, d = 600, 10_000, 64
+        assert n_q > 3 * similarity.TILE_BYTES // (4 * n_t)  # several tiles
+        queries = similarity.unit_rows(rng.normal(size=(n_q, d)))
+        tgt = similarity.unit_rows(rng.normal(size=(n_t, d)))
+        for k in (1, 10):
+            tracemalloc.start()
+            try:
+                similarity.topk(queries, tgt, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # beyond the float32 copy of the targets and the outputs: about
+            # 1.25 tiles; an argpartition of the whole tile reads about 5
+            fixed = 4 * n_t * d + 16 * n_q * k
+            assert peak - fixed < 2 * similarity.TILE_BYTES
 
 
 class TestQueryResult:
