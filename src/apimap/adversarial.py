@@ -5,6 +5,9 @@ vectors; the mapping W is updated to fool it. Training alternates several
 discriminator steps with one mapping step, tracks an unsupervised selection
 criterion each epoch (mean cosine of the most frequent source tokens to their
 nearest mapped neighbors), and returns the best snapshot seen.
+
+Each step computes its objective once: ``discriminator_gradients`` and
+``mapping_gradient`` return the loss together with the gradient that trains.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class _StepBuffers:
     Rows are the mapped sources first, then the targets; ``a`` and ``s`` are a
     layer's activations and its leaky-rectifier slopes (exactly 1.0 or
     LEAKY_SLOPE), so ``a = z * s`` and the backward pass multiplies by ``s``.
+    ``side`` holds each row's side size, the divisor of its per-side mean.
     """
 
     def __init__(self, n_src: int, n_tgt: int, dim: int, hidden: int):
@@ -79,18 +83,9 @@ class _StepBuffers:
         self.shape = (n_src, n_tgt)
         self.v = np.empty((n, dim))  # network input, scaled in place by dropout
         self.mask = np.empty((n, dim))  # dropout scale: 0 or 1 / (1 - p)
-        self.dropped = False
-        self.a1, self.s1, self.a2, self.s2 = (np.empty((n, hidden)) for _ in range(4))
-        self.logits = np.empty((n, 1))
-        self.probs = self.logits.reshape(-1)  # the sigmoid overwrites the logits
-        self.target = np.empty(n)
-        self.other = np.empty(n)  # 1 - target
+        self.a1, self.s1, self.a2, self.s2, self.dz2, self.dz1 = (
+            np.empty((n, hidden)) for _ in range(6))
         self.side = np.repeat(np.array([n_src, n_tgt], dtype=np.float64), [n_src, n_tgt])
-        self.nll = np.empty(n)
-        self.log1m = np.empty(n)
-        self.dz3 = np.empty(n)
-        self.dz2 = np.empty((n, hidden))
-        self.dz1 = np.empty((n, hidden))
         self.d_input = np.empty((n, dim))
 
 
@@ -112,8 +107,10 @@ class Discriminator:
     that train, and the optimizer updates all of them in one operation.
     ``flat_grads`` has the same layout, with ``grads`` its views;
     ``discriminator_gradients`` writes it. Forward/backward passes are
-    explicit so gradients can be checked against finite differences, and
-    write into work arrays kept for the latest batch shape.
+    explicit so gradients can be checked against finite differences. The
+    (rows x dim) and (rows x hidden) arrays of both passes are kept for the
+    latest batch shape; the per-row arrays (probabilities, targets, losses,
+    logit gradients) are new on every call.
     """
 
     def __init__(self, dim: int, hidden: int = 2048, input_dropout: float = 0.1,
@@ -135,8 +132,9 @@ class Discriminator:
         self._buf: _StepBuffers | None = None
 
     def _forward(self, m: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 dropout_rng: np.random.Generator | None) -> _StepBuffers:
-        """Probabilities of the rows ``x @ m.T`` then ``y``, in ``buf.probs``."""
+                 dropout_rng: np.random.Generator | None
+                 ) -> tuple[_StepBuffers, np.ndarray]:
+        """The work arrays and the probabilities of the rows ``x @ m.T`` then ``y``."""
         n_src = x.shape[0]
         buf = self._buf
         if buf is None or buf.shape != (n_src, y.shape[0]):
@@ -145,8 +143,7 @@ class Discriminator:
         v = buf.v
         np.matmul(x, m.T, out=v[:n_src])
         v[n_src:] = y
-        buf.dropped = dropout_rng is not None and self.input_dropout > 0
-        if buf.dropped:
+        if dropout_rng is not None and self.input_dropout > 0:
             dropout_rng.random(out=buf.mask)
             np.greater_equal(buf.mask, self.input_dropout, out=buf.mask)
             buf.mask /= 1.0 - self.input_dropout
@@ -161,41 +158,26 @@ class Discriminator:
             s += LEAKY_SLOPE
             a *= s
             a_in = a
-        z = buf.logits
-        np.matmul(a_in, self.weights[2].T, out=z)
-        z += self.biases[2]
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
-        return buf
+        logits = (a_in @ self.weights[2].T)[:, 0]
+        return buf, 1.0 / (1.0 + np.exp(-(logits + self.biases[2])))
 
-    def _backward(self, buf: _StepBuffers) -> None:
-        """Loss gradient with respect to the logits (``buf.dz3``) and to both
-        hidden layers' pre-activations (``buf.dz2``, ``buf.dz1``), all rows."""
-        np.subtract(buf.probs, buf.target, out=buf.dz3)
-        buf.dz3 /= buf.side
-        dz2 = np.matmul(buf.dz3[:, None], self.weights[2], out=buf.dz2)
+    def _backward(self, buf: _StepBuffers, dz3: np.ndarray) -> None:
+        """Backpropagate the logits' gradient ``dz3`` to both hidden layers'
+        pre-activations (``buf.dz2``, ``buf.dz1``), all rows."""
+        dz2 = np.matmul(dz3[:, None], self.weights[2], out=buf.dz2)
         dz2 *= buf.s2
         dz1 = np.matmul(dz2, self.weights[1], out=buf.dz1)
         dz1 *= buf.s1
 
-    def _param_grads(self, buf: _StepBuffers) -> None:
+    def _param_grads(self, buf: _StepBuffers, dz3: np.ndarray) -> None:
         """Parameter gradients into ``flat_grads``, after ``_backward``."""
         d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = self.grads
-        np.matmul(buf.dz3[:, None].T, buf.a2, out=d_w3)
-        d_b3[0] = buf.dz3.sum()
+        np.matmul(dz3[:, None].T, buf.a2, out=d_w3)
+        d_b3[0] = dz3.sum()
         np.matmul(buf.dz2.T, buf.a1, out=d_w2)
         np.sum(buf.dz2, axis=0, out=d_b2)
         np.matmul(buf.dz1.T, buf.v, out=d_w1)
         np.sum(buf.dz1, axis=0, out=d_b1)
-
-    def _input_grad(self, buf: _StepBuffers) -> np.ndarray:
-        """Gradient with respect to every input row, after ``_backward``."""
-        d_input = np.matmul(buf.dz1, self.weights[0], out=buf.d_input)
-        if buf.dropped:
-            d_input *= buf.mask
-        return d_input
 
 
 def _two_sided_loss(
@@ -206,60 +188,24 @@ def _two_sided_loss(
     target_mapped: float,
     target_real: float,
     dropout_rng: np.random.Generator | None,
-) -> tuple[float, _StepBuffers]:
+) -> tuple[float, _StepBuffers, np.ndarray, np.ndarray]:
     """Shared forward pass: per-side mean BCE, summed over the two sides.
 
     The binary cross-entropy against the (possibly smoothed) targets is taken
-    on probabilities clamped away from {0, 1}.
+    on probabilities clamped away from {0, 1}. Returns the loss, the work
+    arrays, the probabilities and the loss gradient with respect to the logits.
     """
     x, y = np.atleast_2d(x_batch), np.atleast_2d(y_batch)
     n_src = x.shape[0]
     if n_src == 0 or y.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    buf = disc._forward(np.asarray(w), x, y, dropout_rng)
-    t, other, nll, log1m = buf.target, buf.other, buf.nll, buf.log1m
+    buf, probs = disc._forward(np.asarray(w), x, y, dropout_rng)
+    t = np.full(probs.shape, target_real)
     t[:n_src] = target_mapped
-    t[n_src:] = target_real
-    np.subtract(1.0, t, out=other)
-    p = np.clip(buf.probs, PROB_EPS, 1.0 - PROB_EPS, out=nll)
-    np.subtract(1.0, p, out=log1m)
-    np.log(p, out=nll)
-    nll *= t
-    np.log(log1m, out=log1m)
-    log1m *= other
-    nll += log1m
-    np.negative(nll, out=nll)
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    nll = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
     loss = float(nll[:n_src].mean()) + float(nll[n_src:].mean())
-    return loss, buf
-
-
-def discriminator_loss(
-    disc: Discriminator,
-    w: MappingMatrix | np.ndarray,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
-    smoothing: float = 0.0,
-) -> float:
-    """Discriminator objective: score mapped source vectors as 1 and targets as 0.
-
-    Returns the per-sample mean within each side, summed over both sides, with
-    label smoothing applied to the targets and probabilities clamped away from
-    {0, 1} before the logs.
-    """
-    loss, _ = _two_sided_loss(disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, None)
-    return loss
-
-
-def mapping_loss(
-    disc: Discriminator,
-    w: MappingMatrix | np.ndarray,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
-    smoothing: float = 0.0,
-) -> float:
-    """Mapping objective: the discriminator-fooling loss with flipped labels."""
-    loss, _ = _two_sided_loss(disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None)
-    return loss
+    return loss, buf, probs, (probs - t) / buf.side
 
 
 def discriminator_gradients(
@@ -270,21 +216,22 @@ def discriminator_gradients(
     smoothing: float = 0.0,
     dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Analytic gradients of the discriminator loss with respect to its parameters.
+    """Discriminator objective and its gradients with respect to the parameters.
 
-    Returns (loss, gradients aligned with disc.params, probabilities). The
-    gradients are ``disc.grads``, views into ``disc.flat_grads``, and are
-    overwritten by the next ``discriminator_gradients`` call on ``disc``; the
-    probabilities (mapped sources first) are a work array of ``disc``,
-    overwritten by its next loss or gradient call. Copy either to keep it.
+    The objective scores mapped source vectors as 1 and targets as 0, with
+    label smoothing applied to those targets. Returns (loss, gradients aligned
+    with disc.params, probabilities of the mapped sources then the targets).
+    The gradients are ``disc.grads``, views into ``disc.flat_grads``, and are
+    overwritten by the next ``discriminator_gradients`` call on ``disc``, so
+    copy them to keep them; the probabilities are the caller's own array.
     The gradient with respect to the input is not computed.
     """
-    loss, buf = _two_sided_loss(
+    loss, buf, probs, dz3 = _two_sided_loss(
         disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, dropout_rng
     )
-    disc._backward(buf)
-    disc._param_grads(buf)
-    return loss, disc.grads, buf.probs
+    disc._backward(buf, dz3)
+    disc._param_grads(buf, dz3)
+    return loss, disc.grads, probs
 
 
 def mapping_gradient(
@@ -293,23 +240,23 @@ def mapping_gradient(
     x_batch: np.ndarray,
     y_batch: np.ndarray,
     smoothing: float = 0.0,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Analytic gradient of the mapping loss with respect to W.
+    """Mapping objective, the discriminator's with flipped labels, and its
+    gradient with respect to W.
 
-    Returns (loss, d_w); ``d_w`` is a new array that later calls leave alone.
-    The discriminator's parameter gradients are not computed, and
-    ``disc.flat_grads`` is untouched.
+    The discriminator runs without dropout. Returns (loss, d_w); ``d_w`` is a
+    new array that later calls leave alone. The discriminator's parameter
+    gradients are not computed, and ``disc.flat_grads`` is untouched.
     """
-    loss, buf = _two_sided_loss(
-        disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, dropout_rng
+    loss, buf, _, dz3 = _two_sided_loss(
+        disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None
     )
-    disc._backward(buf)
+    disc._backward(buf, dz3)
     # W's gradient reads only the source rows, but every row is run: a row of
     # a matrix product can round differently when computed among fewer rows
     x = np.atleast_2d(x_batch)
-    d_w = disc._input_grad(buf)[:x.shape[0]].T @ x
-    return loss, d_w
+    d_input = np.matmul(buf.dz1, disc.weights[0], out=buf.d_input)
+    return loss, d_input[:x.shape[0]].T @ x
 
 
 def selection_criterion(
@@ -408,7 +355,6 @@ def train_adversarial(
                 disc_losses.append(loss_d)
             xb = src.vectors[rng.integers(0, n_pool, cfg.batch_size)]
             yb = tgt.vectors[rng.integers(0, m_pool, cfg.batch_size)]
-            # the discriminator runs without dropout for the mapping update
             loss_w, d_w = mapping_gradient(disc, w, xb, yb, cfg.label_smoothing)
             vel_w *= MOMENTUM
             vel_w += d_w

@@ -157,6 +157,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
     stages = evaluation.parse_stages(args.stages)
     if "S" in stages and not args.seeds:
         raise FormatError("--seeds is required when the s stage is enabled")
+    if args.log and "A" not in stages:
+        raise FormatError("--log needs the a stage in --stages")
+    if args.refine_report and "R" not in stages:
+        raise FormatError("--refine-report needs the r stage in --stages")
     adv_cfg = _config(adversarial.AdvConfig, args)
     ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt = _load_space_pair(args)
@@ -214,6 +218,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     grid = [evaluation.parse_stages(g) for g in specs if g.strip()]
     if any("S" in name for name in grid) and not args.seeds:
         raise FormatError("--seeds is required when an --ablation item contains S")
+    if args.coverage_out and not args.thresholds:
+        raise FormatError("--coverage-out needs --thresholds")
+    if args.ablation_out and not grid:
+        raise FormatError("--ablation-out needs --ablation")
     k_list = tuple(_number_list("--k-list", args.k_list, int, lambda k: k >= 1,
                                 "an integer >= 1"))
     thresholds = _number_list("--thresholds", args.thresholds, float, lambda t: 0 <= t < 1,

@@ -13,9 +13,7 @@ from scipy.stats import spearmanr
 from apimap.adversarial import (
     Discriminator,
     discriminator_gradients,
-    discriminator_loss,
     mapping_gradient,
-    mapping_loss,
 )
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
@@ -93,15 +91,16 @@ def test_criterion_03_adversarial_gradient_correctness():
         w = rng.normal(size=(5, 5)) * 0.4
         x = rng.normal(size=(2, 5))
         y = rng.normal(size=(2, 5))
-        _, grads, _ = discriminator_gradients(disc, w, x, y, smoothing=0.2)
+        # copied: every call overwrites the views it returns
+        grads = [g.copy() for g in discriminator_gradients(disc, w, x, y, smoothing=0.2)[1]]
         for param, grad in zip(disc.params, grads):
             flat, gflat = param.reshape(-1), grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = discriminator_loss(disc, w, x, y, 0.2)
+                up = discriminator_gradients(disc, w, x, y, 0.2)[0]
                 flat[i] = orig - eps
-                down = discriminator_loss(disc, w, x, y, 0.2)
+                down = discriminator_gradients(disc, w, x, y, 0.2)[0]
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
@@ -111,9 +110,9 @@ def test_criterion_03_adversarial_gradient_correctness():
             for j in range(5):
                 orig = w[i, j]
                 w[i, j] = orig + eps
-                up = mapping_loss(disc, w, x, y, 0.2)
+                up = mapping_gradient(disc, w, x, y, 0.2)[0]
                 w[i, j] = orig - eps
-                down = mapping_loss(disc, w, x, y, 0.2)
+                down = mapping_gradient(disc, w, x, y, 0.2)[0]
                 w[i, j] = orig
                 fd = (up - down) / (2 * eps)
                 rel = abs(fd - d_w[i, j]) / max(abs(fd), abs(d_w[i, j]), 1e-8)

@@ -1,4 +1,8 @@
-"""Tests for the adversarial losses, gradients, selection criterion, and trainer."""
+"""Tests for the adversarial losses, gradients, selection criterion, and trainer.
+
+The losses are read off the gradient functions, which compute them once per
+call: ``discriminator_gradients(...)[0]`` and ``mapping_gradient(...)[0]``.
+"""
 
 import math
 
@@ -9,9 +13,7 @@ from apimap.adversarial import (
     AdvConfig,
     Discriminator,
     discriminator_gradients,
-    discriminator_loss,
     mapping_gradient,
-    mapping_loss,
     selection_criterion,
     train_adversarial,
 )
@@ -43,6 +45,14 @@ def passthrough_discriminator():
     return disc
 
 
+def disc_loss(disc, w, x, y, smoothing=0.0):
+    return discriminator_gradients(disc, w, x, y, smoothing)[0]
+
+
+def map_loss(disc, w, x, y, smoothing=0.0):
+    return mapping_gradient(disc, w, x, y, smoothing)[0]
+
+
 def logit(p):
     return math.log(p / (1.0 - p))
 
@@ -62,8 +72,8 @@ class TestLossValues:
         x = rng.normal(size=(4, 3))
         y = rng.normal(size=(4, 3))
         # each sample contributes ln 2; the two per-side means sum to 2 ln 2
-        assert discriminator_loss(disc, np.eye(3), x, y) == pytest.approx(2 * math.log(2))
-        assert mapping_loss(disc, np.eye(3), x, y) == pytest.approx(2 * math.log(2))
+        assert disc_loss(disc, np.eye(3), x, y) == pytest.approx(2 * math.log(2))
+        assert map_loss(disc, np.eye(3), x, y) == pytest.approx(2 * math.log(2))
 
     def test_hand_computed_example(self):
         # P(mapped source) = 0.8 and P(target) = 0.3 via the passthrough net
@@ -71,10 +81,10 @@ class TestLossValues:
         x = np.array([[logit(0.8)]])
         y = np.array([[logit(0.3) / 0.04]])  # negative branch scales by 0.2 * 0.2
         w = np.eye(1)
-        l_d = discriminator_loss(disc, w, x, y)
+        l_d = disc_loss(disc, w, x, y)
         assert l_d == pytest.approx(-math.log(0.8) - math.log(0.7), abs=1e-9)
         assert l_d == pytest.approx(0.580, abs=1e-3)
-        l_w = mapping_loss(disc, w, x, y)
+        l_w = map_loss(disc, w, x, y)
         assert l_w == pytest.approx(-math.log(0.2) - math.log(0.3), abs=1e-9)
         assert l_w == pytest.approx(2.813, abs=1e-3)
 
@@ -83,24 +93,24 @@ class TestLossValues:
         disc = passthrough_discriminator()
         x = np.array([[800.0]])   # P -> 1 on mapped source
         y = np.array([[-800.0]])  # P -> 0 on target
-        l_d = discriminator_loss(disc, np.eye(1), x, y)
+        l_d = disc_loss(disc, np.eye(1), x, y)
         assert l_d < 1e-6
         # the fully-fooled configuration symmetrically drives L_W to zero
-        l_w = mapping_loss(disc, np.eye(1), -x, -y)
+        l_w = map_loss(disc, np.eye(1), -x, -y)
         assert l_w < 1e-6
 
     def test_label_smoothing_shifts_optimum(self):
         disc = passthrough_discriminator()
         x = np.array([[logit(0.8)]])
         y = np.array([[logit(0.2) / 0.04]])
-        sharp = discriminator_loss(disc, np.eye(1), x, y, smoothing=0.0)
-        smooth = discriminator_loss(disc, np.eye(1), x, y, smoothing=0.2)
+        sharp = disc_loss(disc, np.eye(1), x, y, smoothing=0.0)
+        smooth = disc_loss(disc, np.eye(1), x, y, smoothing=0.2)
         assert smooth > sharp
 
     def test_empty_batch_rejected(self):
         disc = zeroed_discriminator(3)
         with pytest.raises(ValueError):
-            discriminator_loss(disc, np.eye(3), np.empty((0, 3)), np.ones((1, 3)))
+            discriminator_gradients(disc, np.eye(3), np.empty((0, 3)), np.ones((1, 3)))
 
 
 class TestGradientChecks:
@@ -112,16 +122,17 @@ class TestGradientChecks:
         w = rng.normal(size=(5, 5)) * 0.4
         x = rng.normal(size=(2, 5))
         y = rng.normal(size=(2, 5))
-        _, grads, _ = discriminator_gradients(disc, w, x, y, smoothing=0.2)
+        # copied: every call overwrites the views it returns
+        grads = [g.copy() for g in discriminator_gradients(disc, w, x, y, smoothing=0.2)[1]]
         for param, grad in zip(disc.params, grads):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + self.EPS
-                up = discriminator_loss(disc, w, x, y, smoothing=0.2)
+                up = disc_loss(disc, w, x, y, smoothing=0.2)
                 flat[i] = orig - self.EPS
-                down = discriminator_loss(disc, w, x, y, smoothing=0.2)
+                down = disc_loss(disc, w, x, y, smoothing=0.2)
                 flat[i] = orig
                 fd = (up - down) / (2 * self.EPS)
                 assert abs(fd - gflat[i]) <= 1e-4 * max(abs(fd), abs(gflat[i]), 1e-8)
@@ -137,9 +148,9 @@ class TestGradientChecks:
             for j in range(5):
                 orig = w[i, j]
                 w[i, j] = orig + self.EPS
-                up = mapping_loss(disc, w, x, y, smoothing=0.2)
+                up = map_loss(disc, w, x, y, smoothing=0.2)
                 w[i, j] = orig - self.EPS
-                down = mapping_loss(disc, w, x, y, smoothing=0.2)
+                down = map_loss(disc, w, x, y, smoothing=0.2)
                 w[i, j] = orig
                 fd = (up - down) / (2 * self.EPS)
                 assert abs(fd - d_w[i, j]) <= 1e-4 * max(abs(fd), abs(d_w[i, j]), 1e-8)
@@ -150,10 +161,9 @@ class TestGradientChecks:
         w = rng.normal(size=(6, 6)) * 0.5
         x = rng.normal(size=(8, 6))
         y = rng.normal(size=(8, 6))
-        base = mapping_loss(disc, w, x, y)
-        _, d_w = mapping_gradient(disc, w, x, y)
+        base, d_w = mapping_gradient(disc, w, x, y)
         decreased = [
-            mapping_loss(disc, w - lr * d_w, x, y) < base
+            map_loss(disc, w - lr * d_w, x, y) < base
             for lr in (0.1, 0.01, 0.001)
         ]
         assert any(decreased)
@@ -162,7 +172,9 @@ class TestGradientChecks:
 
 class TestBufferedStep:
     """The buffered passes against the unbuffered ones they replaced, kept here
-    as the oracle; the arithmetic is unchanged, so results must be equal."""
+    as the oracle; the arithmetic is unchanged, so results must be equal.
+    ``discriminator_gradients`` is compared with and without input dropout,
+    ``mapping_gradient`` (which has none) without."""
 
     @staticmethod
     def oracle_forward(disc, v, dropout_rng):
@@ -179,11 +191,11 @@ class TestBufferedStep:
         a2 = np.where(z2 > 0, z2, 0.2 * z2)
         z3 = (a2 @ disc.weights[2].T + disc.biases[2]).ravel()
         probs = 1.0 / (1.0 + np.exp(-z3))
-        return probs, (v0, mask, z1, a1, z2, a2)
+        return probs, (v0, z1, a1, z2, a2)
 
     @staticmethod
     def oracle_backward(disc, dz3, cache):
-        v0, mask, z1, a1, z2, a2 = cache
+        v0, z1, a1, z2, a2 = cache
         dz3_col = dz3[:, None]
         d_w3 = dz3_col.T @ a2
         d_b3 = np.array([dz3.sum()])
@@ -195,10 +207,7 @@ class TestBufferedStep:
         dz1 = da1 * np.where(z1 > 0, 1.0, 0.2)
         d_w1 = dz1.T @ v0
         d_b1 = dz1.sum(axis=0)
-        d_input = dz1 @ disc.weights[0]
-        if mask is not None:
-            d_input = d_input * mask
-        return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3], d_input
+        return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3], dz1 @ disc.weights[0]
 
     @staticmethod
     def oracle_bce(probs, target):
@@ -219,15 +228,9 @@ class TestBufferedStep:
         return loss, grads, probs, d_input[:n_src].T @ x
 
     def assert_matches_oracle(self, disc, w, x, y, seed=None):
-        def rngs():
-            if seed is None:
-                return None, None
-            return np.random.default_rng(seed), np.random.default_rng(seed)
-
         s = 0.2
-        assert discriminator_loss(disc, w, x, y, s) == self.oracle(disc, w, x, y, 1 - s, s)[0]
-        assert mapping_loss(disc, w, x, y, s) == self.oracle(disc, w, x, y, s, 1 - s)[0]
-        ours, theirs = rngs()
+        ours, theirs = (None, None) if seed is None else (
+            np.random.default_rng(seed), np.random.default_rng(seed))
         loss, grads, probs = discriminator_gradients(disc, w, x, y, s, dropout_rng=ours)
         o_loss, o_grads, o_probs, _ = self.oracle(disc, w, x, y, 1 - s, s, theirs)
         assert loss == o_loss
@@ -236,9 +239,8 @@ class TestBufferedStep:
         for grad, o_grad in zip(grads, o_grads):
             assert grad.shape == o_grad.shape
             assert np.array_equal(grad, o_grad)
-        ours, theirs = rngs()
-        loss, d_w = mapping_gradient(disc, w, x, y, s, dropout_rng=ours)
-        o_loss, _, _, o_d_w = self.oracle(disc, w, x, y, s, 1 - s, theirs)
+        loss, d_w = mapping_gradient(disc, w, x, y, s)
+        o_loss, _, _, o_d_w = self.oracle(disc, w, x, y, s, 1 - s)
         assert loss == o_loss
         assert np.array_equal(d_w, o_d_w)
 
@@ -293,8 +295,9 @@ class TestBufferedStep:
             assert np.shares_memory(grad, disc.flat_grads)
             assert np.array_equal(grad, grad2)
             assert not np.array_equal(grad, copy)
-        assert np.array_equal(probs, probs2)
-        assert not np.array_equal(probs, first_probs)
+        # the probabilities are the caller's own array
+        assert np.array_equal(probs, first_probs)
+        assert not np.array_equal(probs2, first_probs)
         # d_w is the caller's own array
         mapping_gradient(disc, w, x2, y2)
         assert np.array_equal(d_w, first_d_w)

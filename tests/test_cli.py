@@ -474,6 +474,24 @@ class TestQueryAndEval:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,message", [
+        (("align", "--stages", "s", "--seeds", "s.tsv", "--out-matrix", "w.txt",
+          "--log", "log.csv"), "--log needs the a stage"),
+        (("align", "--stages", "s", "--seeds", "s.tsv", "--out-matrix", "w.txt",
+          "--refine-report", "r.csv"), "--refine-report needs the r stage"),
+        (("eval", "--matrix", "w.txt", "--truth", "t.tsv", "--coverage-out", "c.csv"),
+         "--coverage-out needs --thresholds"),
+        (("eval", "--matrix", "w.txt", "--truth", "t.tsv", "--ablation-out", "b.csv"),
+         "--ablation-out needs --ablation"),
+    ])
+    def test_output_flag_without_its_producer_exits_2_before_loading(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)  # every input is missing; nothing may be written
+        code = run(*argv, "--src-emb", "src.vec", "--tgt-emb", "tgt.vec")
+        assert code == 2
+        assert f"apimap: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand_exits_2(self):
         assert run("frobnicate") == 2
 

@@ -1,5 +1,6 @@
 """Every public function and class in ``src/apimap`` has a caller outside the tests,
-and no module of the package or the benchmark uses another module's private names.
+every defaulted parameter of a public function or method is passed by one, and
+no module of the package or the benchmark uses another module's private names.
 
 A caller is a name or attribute reference in another part of the package (its
 ``__init__`` aside) or in the benchmark under ``apibench/``; a mention in a
@@ -11,9 +12,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "apimap"
-# the reference losses that the finite-difference tests compare the trained
-# gradients against; nothing else calls them
-REFERENCE_LOSSES = {"sgns_loss", "discriminator_loss", "mapping_loss"}
+# the reference loss that the finite-difference tests compare the trained
+# gradients against; nothing else calls it
+REFERENCE_LOSSES = {"sgns_loss"}
+# defaulted parameters that only tests pass, with the reason each may stay
+TEST_ONLY_PARAMETERS = {"cli.main.argv": "it is how the tests drive the CLI"}
 
 
 def parsed(path: Path) -> ast.Module:
@@ -21,10 +24,8 @@ def parsed(path: Path) -> ast.Module:
 
 
 def test_every_public_name_is_referenced_outside_the_tests():
-    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    callers += (ROOT / "apibench").glob("*.py")
     referenced = set()
-    for path in callers:
+    for path in callers():
         for node in ast.walk(parsed(path)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -39,6 +40,56 @@ def test_every_public_name_is_referenced_outside_the_tests():
         and node.name not in referenced | REFERENCE_LOSSES
     ]
     assert not unreferenced, f"only tests reference {unreferenced}"
+
+
+def callers() -> list[Path]:
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    return paths + sorted((ROOT / "apibench").glob("*.py"))
+
+
+def defaulted_parameters(path: Path):
+    """(qualified name, function name, positional parameters, defaulted
+    parameters) of each public function and public method in ``path``."""
+    for node in parsed(path).body:
+        defs, prefix, bound = [node], "", False
+        if isinstance(node, ast.ClassDef):
+            defs, prefix, bound = node.body, f"{node.name}.", True
+        for fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            if bound and not static:
+                positional = positional[1:]  # self or cls
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            if defaulted:
+                yield f"{path.stem}.{prefix}{fn.name}", fn.name, positional, defaulted
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = [node for path in callers() for node in ast.walk(parsed(path))
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, positional, defaulted in defaulted_parameters(path):
+            passed = set()
+            for call in calls:
+                func = call.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called != name:
+                    continue
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                        k.arg is None for k in call.keywords):
+                    passed.update(defaulted)  # *args or **kwargs may pass any
+                passed.update(positional[:len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            unpassed += [f"{qualified}.{p}" for p in defaulted
+                         if p not in passed and f"{qualified}.{p}" not in TEST_ONLY_PARAMETERS]
+    assert not unpassed, f"only tests pass {unpassed}"
 
 
 def private_reads(path: Path) -> list[str]:
