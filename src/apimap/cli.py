@@ -201,6 +201,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise FormatError("no query tokens given (positional or --file)")
     if args.k < 1:
         raise FormatError(f"--k must be >= 1, got {args.k}")
+    if args.threshold is not None and not 0 <= args.threshold < 1:
+        raise FormatError(f"--threshold must be a number in [0, 1), got {args.threshold}")
     src, tgt, w = _load_aligned(args)
     results = query.batch_query(tokens, w, src, tgt, args.k, args.threshold)
     with _output(args.out) as out:

@@ -9,7 +9,8 @@ lines, as Ji et al. 2016 batch many contexts into one update: one call of
 every (center, context) pair of the group, and one ``np.bincount`` scatter-add
 per weight matrix. A group closes at ``STEP_PAIRS`` expected pairs, or earlier
 when its gradient block could exceed ``similarity.TILE_BYTES``, so wide
-configurations still take one line per step. Single-worker runs are
+configurations still take one line per step. The groups are planned once per
+run, before the first epoch. Single-worker runs are
 bit-reproducible given a seed; multi-worker runs train one shard of lines per
 thread, update the shared weights without locks and trade determinism for
 throughput.
@@ -20,8 +21,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -77,7 +78,6 @@ class EmbeddingSpace:
 
     vectors: np.ndarray
     vocab: Vocabulary
-    _unit: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -103,12 +103,10 @@ class EmbeddingSpace:
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.vocab.index(token)]
 
-    @property
+    @cached_property
     def unit_vectors(self) -> np.ndarray:
         """Row-normalized copy of the vectors, cached. Zero rows stay zero."""
-        if self._unit is None:
-            self._unit = unit_rows(self.vectors)
-        return self._unit
+        return unit_rows(self.vectors)
 
 
 def subsample_keep_probs(counts: np.ndarray, subsample: float) -> np.ndarray:
@@ -124,24 +122,24 @@ def subsample_keep_probs(counts: np.ndarray, subsample: float) -> np.ndarray:
     return np.minimum(keep, 1.0)
 
 
-def sgns_loss(
-    centers: np.ndarray, outputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> float:
+def sgns_loss(centers: np.ndarray, outputs: np.ndarray, weights: np.ndarray) -> float:
     """Weighted negative-sampling loss of a batch of steps.
 
-    Step b scores ``centers[b]`` (d,) against ``outputs[b]`` (K, d): the
-    positive context row (label 1) and the negative rows (label 0). The loss is
-    -sum(weight * (label*log sigma(u.v) + (1-label)*log sigma(-u.v))); this is
-    the reference that ``sgns_step`` differentiates.
+    Step b scores ``centers[b]`` (d,) against ``outputs[b]`` (K, d): row 0 is
+    the positive context and rows 1.. are the negatives. The loss is
+    -sum(weight * log sigma(u.v)) over the positive rows plus
+    -sum(weight * log sigma(-u.v)) over the negative rows; this is the
+    reference that ``sgns_step`` differentiates.
     """
     scores = (outputs @ centers[:, :, None])[:, :, 0]
     # log sigma(z) = -logaddexp(0, -z), stable for large |z|
-    nll = labels * np.logaddexp(0.0, -scores) + (1.0 - labels) * np.logaddexp(0.0, scores)
+    nll = np.logaddexp(0.0, scores)
+    nll[:, 0] = np.logaddexp(0.0, -scores[:, 0])
     return float(np.sum(weights * nll))
 
 
 def sgns_step(
-    centers: np.ndarray, outputs: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    centers: np.ndarray, outputs: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``sgns_loss`` for a batch of steps.
 
@@ -149,26 +147,20 @@ def sgns_step(
     and ``outputs`` (B, K, d). A zero weight makes its row inert.
     """
     scores = (outputs @ centers[:, :, None])[:, :, 0]
-    residual = (1.0 / (1.0 + np.exp(-scores)) - labels) * weights
+    residual = 1.0 / (1.0 + np.exp(-scores))
+    residual[:, 0] -= 1.0
+    residual *= weights
     grad_centers = (residual[:, None, :] @ outputs)[:, 0, :]
     grad_outputs = residual[:, :, None] * centers[:, None, :]
     return grad_centers, grad_outputs
 
 
-class _NegativeTable:
-    """Samples token indices from the unigram^0.75 distribution."""
-
-    def __init__(self, counts: np.ndarray):
-        weights = np.asarray(counts, dtype=np.float64) ** NEGATIVE_TABLE_EXPONENT
-        self.cum = np.cumsum(weights)
-        self.total = self.cum[-1]
-
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.searchsorted(self.cum, rng.random(k) * self.total)
-
-
-def _window_pairs(spans: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (i, j) of every center i and context j with 0 < |j - i| <= spans[i].
+def _group_pairs(
+    spans: np.ndarray, line_of: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) of every center i and context j with
+    0 < |j - i| <= spans[i] on the same line, for lines laid end to end;
+    ``line_of[i]`` numbers the line of position i.
 
     Pairs come center-major with contexts ascending.
     """
@@ -178,15 +170,7 @@ def _window_pairs(spans: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarra
     i, k = np.nonzero(near)
     j = i + offsets[k]
     inside = (j >= 0) & (j < len(spans))
-    return i[inside], j[inside]
-
-
-def _group_pairs(
-    spans: np.ndarray, line_of: np.ndarray, window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_window_pairs`` over several lines laid end to end, without the pairs
-    that cross a line; ``line_of[i]`` numbers the line of position i."""
-    i, j = _window_pairs(spans, window)
+    i, j = i[inside], j[inside]
     same = line_of[i] == line_of[j]
     return i[same], j[same]
 
@@ -205,10 +189,12 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray, scale
     target[uniq] += sums.reshape(len(uniq), dim)
 
 
-def _step_groups(
+def _step_plan(
     lines: list[np.ndarray], keep: np.ndarray, cfg: TrainConfig
-) -> list[list[np.ndarray]]:
-    """Consecutive whole lines grouped into training steps.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The training steps of a shard, each as ``(tokens, line_of)``: a group of
+    consecutive whole lines laid end to end and the group's line number of
+    each position.
 
     A group closes once its expected pairs (expected kept tokens times
     ``window + 1``) reach ``STEP_PAIRS``, or before a line whose most possible
@@ -217,47 +203,50 @@ def _step_groups(
     alone exceeds the block limit is a step of its own.
     """
     pair_bytes = 8 * (cfg.negatives + 1) * cfg.dim
-    groups = []
-    start, expected, most = 0, 0.0, 0
+    cuts = [0]
+    expected, most = 0.0, 0
     for k, line in enumerate(lines):
         line_most = len(line) * min(2 * cfg.window, len(line) - 1)
-        if k > start and (most + line_most) * pair_bytes > TILE_BYTES:
-            groups.append(lines[start:k])
-            start, expected, most = k, 0.0, 0
+        if k > cuts[-1] and (most + line_most) * pair_bytes > TILE_BYTES:
+            cuts.append(k)
+            expected, most = 0.0, 0
         expected += float(keep[line].sum()) * (cfg.window + 1)
         most += line_most
         if expected >= STEP_PAIRS:
-            groups.append(lines[start : k + 1])
-            start, expected, most = k + 1, 0.0, 0
-    if start < len(lines):
-        groups.append(lines[start:])
-    return groups
+            cuts.append(k + 1)
+            expected, most = 0.0, 0
+    if cuts[-1] < len(lines):
+        cuts.append(len(lines))
+    return [
+        (np.concatenate(lines[lo:hi]),
+         np.repeat(np.arange(hi - lo), [len(line) for line in lines[lo:hi]]))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def _train_shard(
-    groups: list[list[np.ndarray]],
+    plan: list[tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
     done: int,
     *,
     syn_in: np.ndarray,
     syn_out: np.ndarray,
     keep: np.ndarray,
-    table: _NegativeTable,
+    neg_cum: np.ndarray,
     cfg: TrainConfig,
     total_words: int,
 ) -> int:
-    """One pass over a shard's line groups (``_step_groups``), updating the
-    shared weights.
+    """One pass over a shard's steps (``_step_plan``), updating the shared
+    weights.
 
     ``done`` counts the shard's words trained so far; scaled by the number of
     shards it stands for the run's progress in the learning-rate decay. One
     step trains one group: every (center, context) pair of its lines is updated
     together from the weights at the start of the step, at the learning rate
-    of the step's last word. Returns the new ``done``.
+    of the step's last word. Negatives are drawn from the cumulative
+    unigram^0.75 weights ``neg_cum``. Returns the new ``done``.
     """
-    for group in groups:
-        tokens = np.concatenate(group)
-        line_of = np.repeat(np.arange(len(group)), [len(line) for line in group])
+    for tokens, line_of in plan:
         done += len(tokens)
         alpha = max(
             MIN_LEARNING_RATE,
@@ -270,23 +259,20 @@ def _train_shard(
         if len(i) == 0:
             continue
         centers, contexts = words[i], words[j]
-        pairs = len(centers)
 
-        negatives = table.draw(rng, pairs * cfg.negatives).reshape(pairs, cfg.negatives)
+        negatives = np.searchsorted(neg_cum, rng.random((len(i), cfg.negatives)) * neg_cum[-1])
         for _ in range(3):
             bad = negatives == contexts[:, None]
             n_bad = int(bad.sum())
             if n_bad == 0:
                 break
-            negatives[bad] = table.draw(rng, n_bad)
+            negatives[bad] = np.searchsorted(neg_cum, rng.random(n_bad) * neg_cum[-1])
         targets = np.concatenate([contexts[:, None], negatives], axis=1)
-        labels = np.zeros(targets.shape)
-        labels[:, 0] = 1.0
         # negatives that still collide with their positive context are inert
         weights = np.ones(targets.shape)
         weights[:, 1:][negatives == contexts[:, None]] = 0.0
 
-        grad_centers, grad_outputs = sgns_step(syn_in[centers], syn_out[targets], labels, weights)
+        grad_centers, grad_outputs = sgns_step(syn_in[centers], syn_out[targets], weights)
         _scatter_add(syn_out, targets.ravel(), grad_outputs.reshape(-1, syn_out.shape[1]), -alpha)
         _scatter_add(syn_in, centers, grad_centers, -alpha)
     return done
@@ -314,21 +300,21 @@ def train_skipgram(corpus: Iterable[CodeSequence], cfg: TrainConfig) -> Embeddin
     syn_out = np.zeros((len(vocab), cfg.dim))
 
     keep = subsample_keep_probs(counts, cfg.subsample)
-    shards = [_step_groups(lines[w :: cfg.workers], keep, cfg) for w in range(cfg.workers)]
+    plans = [_step_plan(lines[w :: cfg.workers], keep, cfg) for w in range(cfg.workers)]
     # one worker keeps drawing from the generator that initialized the weights
     rngs = [rng] if cfg.workers == 1 else [
         np.random.default_rng((cfg.rng_seed, w)) for w in range(cfg.workers)
     ]
     train = partial(
         _train_shard, syn_in=syn_in, syn_out=syn_out, keep=keep,
-        table=_NegativeTable(counts), cfg=cfg,
+        neg_cum=np.cumsum(counts**NEGATIVE_TABLE_EXPONENT), cfg=cfg,
         total_words=sum(len(line) for line in lines) * cfg.epochs,
     )
     done = [0] * cfg.workers
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         for _ in range(cfg.epochs):
             # consuming the results re-raises a worker's exception here
-            done = list(pool.map(train, shards, rngs, done))
+            done = list(pool.map(train, plans, rngs, done))
     return EmbeddingSpace(syn_in, vocab)
 
 
@@ -351,14 +337,16 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
 def load_space(path: str) -> EmbeddingSpace:
     """Read a word2vec text-format space; uses the frequency sidecar if present.
 
-    A malformed header or row, a dimension below 1, a nan or infinite value
-    and a repeated token raise FormatError naming the file and, for a row,
-    its line; so does a token repeated in the sidecar.
+    A malformed header or row, a row count below 0, a dimension below 1, a
+    nan or infinite value and a repeated token raise FormatError naming the
+    file and, for a row, its line; so do a token repeated in the sidecar and
+    a sidecar count below 1.
 
-    With a sidecar, counts must be non-increasing down the vector file's rows,
-    since later stages take the first rows as the most frequent tokens; a
-    sidecar that breaks this order raises FormatError. Without one, every
-    count is 1 and the row order is taken as frequency order, unchecked.
+    With a sidecar, every row's token needs a count, and counts must be
+    non-increasing down the vector file's rows, since later stages take the
+    first rows as the most frequent tokens; a sidecar that leaves a token
+    without a count or breaks this order raises FormatError. Without one,
+    every count is 1 and the row order is taken as frequency order, unchecked.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -366,6 +354,8 @@ def load_space(path: str) -> EmbeddingSpace:
             n, dim = map(int, header)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed header {' '.join(header)!r}") from exc
+        if n < 0:
+            raise FormatError(f"{path}: row count {n} in header is below 0")
         if dim < 1:
             raise FormatError(f"{path}: dimension {dim} in header is below 1")
         tokens: list[str] = []
@@ -417,7 +407,12 @@ def load_space(path: str) -> EmbeddingSpace:
                 raise FormatError(
                     f"{sidecar}:{lineno}: count {count!r} is not an integer"
                 ) from exc
-        counts = [freq.get(t, 1) for t in tokens]
+            if freq[token] < 1:
+                raise FormatError(f"{sidecar}:{lineno}: count {count!r} is below 1")
+        try:
+            counts = [freq[t] for t in tokens]
+        except KeyError as exc:
+            raise FormatError(f"{sidecar}: no count for token {exc.args[0]!r}") from exc
         # row 0 must be the most frequent token: the selection criterion,
         # adversarial sampling and refinement candidates all read the head
         for i in range(n - 1):

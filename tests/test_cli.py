@@ -333,6 +333,16 @@ class TestQueryAndEval:
         assert code == 2
         assert "apimap: error: --k must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "-0.1"])
+    def test_query_threshold_out_of_range_exits_2_before_loading(self, tmp_path, capsys,
+                                                                threshold):
+        missing = str(tmp_path / "missing.txt")
+        code = run("query", "--matrix", missing, "--src-emb", missing, "--tgt-emb", missing,
+                   "--threshold", threshold, "some.token")
+        assert code == 2
+        assert ("apimap: error: --threshold must be a number in [0, 1), got "
+                f"{float(threshold)}") in capsys.readouterr().err
+
     def test_query_threshold_filters(self, aligned, tmp_path):
         token = aligned["task"].truth.pairs[0][0]
         out = tmp_path / "q.tsv"

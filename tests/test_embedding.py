@@ -1,6 +1,7 @@
 """Tests for the skip-gram trainer and embedding-space persistence."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from apimap.embedding import (
     TrainConfig,
     _group_pairs,
     _scatter_add,
-    _window_pairs,
     load_space,
     save_space,
     sgns_loss,
@@ -112,6 +112,11 @@ class TestTrainSkipgram:
             train_skipgram(planted_corpus(n_lines=50), cfg)
 
 
+def line_pairs(spans, window):
+    """``_group_pairs`` over a single line."""
+    return _group_pairs(spans, np.zeros(len(spans), dtype=np.int64), window)
+
+
 class TestWindowPairs:
     @staticmethod
     def loop_oracle(spans):
@@ -129,7 +134,7 @@ class TestWindowPairs:
         for n in (2, 3, window + 1, 40):
             for _ in range(5):
                 spans = rng.integers(1, window + 1, size=n)
-                i, j = _window_pairs(spans, window)
+                i, j = line_pairs(spans, window)
                 assert list(zip(i.tolist(), j.tolist())) == self.loop_oracle(spans)
 
 
@@ -145,12 +150,12 @@ class TestGroupPairs:
             i, j = _group_pairs(spans, line_of, window)
             expected = []
             for start, n in zip(starts, lengths):
-                li, lj = _window_pairs(spans[start : start + n], window)
+                li, lj = line_pairs(spans[start : start + n], window)
                 expected += list(zip((li + start).tolist(), (lj + start).tolist()))
             assert list(zip(i.tolist(), j.tolist())) == expected
             assert np.array_equal(line_of[i], line_of[j])
             # the unmasked grid over the same spans does cross lines
-            wi, wj = _window_pairs(spans, window)
+            wi, wj = line_pairs(spans, window)
             assert np.any(line_of[wi] != line_of[wj])
 
 
@@ -224,19 +229,17 @@ class TestSgnsGradient:
         eps = 1e-5
         v = rng.normal(size=(3, 10)) * 0.5
         u = rng.normal(size=(3, 6, 10)) * 0.5
-        labels = np.zeros((3, 6))
-        labels[:, 0] = 1.0
         weights = np.ones((3, 6))
         weights[1, 4] = 0.0
-        grad_v, grad_u = sgns_step(v, u, labels, weights)
+        grad_v, grad_u = sgns_step(v, u, weights)
         assert grad_v.shape == v.shape and grad_u.shape == u.shape
         for x, grad in ((v, grad_v), (u, grad_u)):
             for idx in np.ndindex(x.shape):
                 saved = x[idx]
                 x[idx] = saved + eps
-                up = sgns_loss(v, u, labels, weights)
+                up = sgns_loss(v, u, weights)
                 x[idx] = saved - eps
-                down = sgns_loss(v, u, labels, weights)
+                down = sgns_loss(v, u, weights)
                 x[idx] = saved
                 fd = (up - down) / (2 * eps)
                 assert abs(fd - grad[idx]) <= 1e-4 * max(abs(fd), abs(grad[idx]), 1e-8)
@@ -333,6 +336,25 @@ class TestSpaceIO:
         path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
         (tmp_path / "space.txt.freq").write_text("a\t9\nb\tmany\n")
         with pytest.raises(FormatError, match=r"space\.txt\.freq:2: count 'many'"):
+            load_space(str(path))
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sidecar_count_below_one_names_line(self, tmp_path, count):
+        path = tmp_path / "space.txt"
+        path.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
+        (tmp_path / "space.txt.freq").write_text(f"a\t9\nb\t{count}\n")
+        with pytest.raises(FormatError,
+                           match=rf"space\.txt\.freq:2: count '{count}' is below 1$"):
+            load_space(str(path))
+
+    @pytest.mark.parametrize("missing", ["b", "c"])
+    def test_sidecar_without_a_row_token_names_it(self, tmp_path, missing):
+        path = tmp_path / "space.txt"
+        path.write_text("3 2\na 0.1 0.2\nb 0.3 0.4\nc 0.5 0.6\n")
+        listed = [t for t in "abc" if t != missing]
+        (tmp_path / "space.txt.freq").write_text(f"{listed[0]}\t10\n{listed[1]}\t5\n")
+        with pytest.raises(FormatError,
+                           match=rf"space\.txt\.freq: no count for token '{missing}'$"):
             load_space(str(path))
 
 
@@ -439,6 +461,14 @@ class TestSpaceTextParse:
         with pytest.raises(FormatError, match=rf"bad\.txt: dimension {dim} in header is below 1$"):
             load_space(str(path))
 
+    def test_negative_row_count_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("-1 2\na 1 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=r"bad\.txt: row count -1 in header is below 0$"):
+                load_space(str(path))
+
     def test_blank_lines_and_trailing_spaces_accepted(self, tmp_path):
         # word2vec's C tool ends every row with a space
         path = tmp_path / "space.txt"
@@ -490,3 +520,7 @@ class TestEmbeddingSpace:
         np.testing.assert_allclose(unit[0], [0.6, 0.8])
         np.testing.assert_allclose(unit[1], [0.0, 0.0])
         assert space.unit_vectors is unit
+
+    def test_unit_vectors_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EmbeddingSpace(np.ones((1, 2)), Vocabulary(["a"], [1]), _unit=np.zeros((1, 2)))
