@@ -49,8 +49,8 @@ class AdvConfig:
     steps_per_epoch: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.disc_steps_per_map_step < 1:
@@ -113,9 +113,7 @@ class Discriminator:
     logit gradients) are new on every call.
     """
 
-    def __init__(self, dim: int, hidden: int = 2048, input_dropout: float = 0.1,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, dim: int, hidden: int, input_dropout: float, rng: np.random.Generator):
         self.input_dropout = input_dropout
         shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden,), (1, hidden), (1,)]
         size = sum(math.prod(shape) for shape in shapes)
@@ -314,9 +312,6 @@ def train_adversarial(
     w = w1.w.copy()
     best_criterion = selection_criterion(w, src, tgt, k_sel)
     best_w = w.copy()
-    if cfg.epochs == 0:
-        return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=is_orthogonal(best_w))
-
     rng = np.random.default_rng(cfg.rng_seed)
     disc = Discriminator(src.dim, cfg.hidden_dim, cfg.input_dropout, rng)
     n_pool = min(FREQ_CAP, len(src))
@@ -373,7 +368,7 @@ def train_adversarial(
                     epoch=epoch,
                     disc_loss=float(np.mean(disc_losses)),
                     map_loss=float(np.mean(map_losses)),
-                    disc_accuracy=correct / seen if seen else math.nan,
+                    disc_accuracy=correct / seen,
                     criterion=criterion,
                 )
             )

@@ -104,16 +104,24 @@ def _write_csv(path: str | None, comment: str | None, header: list[str], rows) -
         writer.writerows(rows)
 
 
+def _distinct(flag: str, items: list) -> list:
+    """``items``; a repeated item is a FormatError naming ``flag`` and the item."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise FormatError(f"{flag}: item {item} is repeated")
+    return items
+
+
 def _number_list(flag: str, text: str, kind, in_range, expected: str) -> list:
     """The comma-separated items of ``text`` as ``kind``; an item that does not
-    parse or fails ``in_range`` is a FormatError naming ``flag``."""
+    parse, fails ``in_range`` or repeats is a FormatError naming ``flag``."""
     try:
         values = [kind(item) for item in text.split(",")]
     except ValueError as exc:
         raise FormatError(f"{flag}: {exc}") from exc
     if not all(map(in_range, values)):
         raise FormatError(f"{flag}: every item must be {expected}, got {text!r}")
-    return values
+    return _distinct(flag, values)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -179,13 +187,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
             _write_csv(args.log, None, ["epoch", "L_D", "L_W", "disc_accuracy", "criterion"], (
                 [h.epoch, f"{h.disc_loss:.6f}", f"{h.map_loss:.6f}",
                  f"{h.disc_accuracy:.6f}", f"{h.criterion:.6f}"] for h in history))
-        best = max((h.criterion for h in history), default=float("nan"))
+        best = max(h.criterion for h in history)
         print(f"adversarial: {len(history)} epochs, best criterion {best:.4f}")
     if "R" in stages:
         if args.refine_report:
             _write_csv(args.refine_report, None, ["iter", "candidates", "criterion"], (
                 [r.iteration, r.candidates, f"{r.criterion:.6f}"] for r in report))
-        print(f"refinement: {max(0, len(report) - 1)} iterations")
+        print(f"refinement: {len(report) - 1} iterations")
 
     seeding.save_matrix(w, args.out_matrix)
     print(f"mapping matrix ({w.stage}) -> {args.out_matrix}")
@@ -217,7 +225,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     specs = (args.ablation or "").split(",")
-    grid = [evaluation.parse_stages(g) for g in specs if g.strip()]
+    grid = _distinct("--ablation", [evaluation.parse_stages(g) for g in specs if g.strip()])
     if any("S" in name for name in grid) and not args.seeds:
         raise FormatError("--seeds is required when an --ablation item contains S")
     if args.coverage_out and not args.thresholds:
@@ -255,10 +263,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
 
     if grid:
-        reports = evaluation.run_ablation(
-            src, tgt, seeds, truth, grid, adv_cfg=adv_cfg, ref_cfg=ref_cfg,
-            k_list=k_list, rng_seed=args.rng_seed,
-        )
+        reports = evaluation.run_ablation(src, tgt, seeds, truth, grid, adv_cfg, ref_cfg,
+                                          k_list, args.rng_seed)
         _write_csv(
             args.ablation_out, f"{config_echo} ablation={args.ablation}",
             ["stages", "k", "accuracy"],

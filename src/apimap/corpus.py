@@ -54,10 +54,7 @@ class SignatureTable:
 
 
 class Vocabulary:
-    """Token table with dense indices assigned by descending corpus frequency.
-
-    Ties are broken lexicographically so index assignment is deterministic.
-    """
+    """Token table with dense indices, the most frequent token first."""
 
     def __init__(self, tokens: list[str], counts: Iterable[int]):
         self.tokens = list(tokens)
@@ -67,15 +64,6 @@ class Vocabulary:
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")
-
-    @classmethod
-    def from_counts(cls, counts: dict[str, int], min_count: int = 1) -> "Vocabulary":
-        """Build a vocabulary from raw counts, dropping tokens below min_count."""
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        kept = [(t, c) for t, c in counts.items() if c >= min_count]
-        kept.sort(key=lambda tc: (-tc[1], tc[0]))
-        return cls([t for t, _ in kept], [c for _, c in kept])
 
     def index(self, token: str) -> int:
         return self._index[token]
@@ -132,8 +120,9 @@ def to_class_level(seq: CodeSequence) -> CodeSequence:
     return out
 
 
-def build_vocabulary(corpus: Iterable[CodeSequence], min_count: int = 1) -> Vocabulary:
-    """Count tokens over the corpus and build a frequency-ordered vocabulary."""
+def build_vocabulary(corpus: Iterable[CodeSequence], min_count: int) -> Vocabulary:
+    """Count tokens over the corpus and build a vocabulary of those seen at least
+    ``min_count`` times, by descending count with lexicographic ties."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
@@ -141,7 +130,8 @@ def build_vocabulary(corpus: Iterable[CodeSequence], min_count: int = 1) -> Voca
         counts.update(seq)
     if not counts:
         raise ValueError("empty corpus")
-    return Vocabulary.from_counts(counts, min_count)
+    kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
+    return Vocabulary(kept, [counts[t] for t in kept])
 
 
 def read_corpus(path: str) -> Iterator[CodeSequence]:

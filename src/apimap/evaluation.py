@@ -150,7 +150,7 @@ def coverage_accuracy_table(
     tgt: EmbeddingSpace,
     truth: GroundTruth,
     thresholds: list[float],
-    k_list: tuple[int, ...] = (1, 5),
+    k_list: tuple[int, ...],
 ) -> list[CoverageRow]:
     """Coverage and accuracy per similarity threshold and per k.
 
@@ -165,7 +165,7 @@ def coverage_rows(
     results: list[QueryResult],
     truth: GroundTruth,
     thresholds: list[float],
-    k_list: tuple[int, ...] = (1, 5),
+    k_list: tuple[int, ...],
 ) -> list[CoverageRow]:
     """Coverage/accuracy rows from unthresholded results of at least max(k_list)
     neighbors per truth source.
@@ -260,15 +260,13 @@ def run_ablation(
     seeds: SeedDictionary | None,
     truth: GroundTruth,
     grid: list[str],
-    adv_cfg: AdvConfig | None = None,
-    ref_cfg: RefineConfig | None = None,
-    k_list: tuple[int, ...] = (1, 5, 10),
-    rng_seed: int = 0,
+    adv_cfg: AdvConfig,
+    ref_cfg: RefineConfig,
+    k_list: tuple[int, ...],
+    rng_seed: int,
 ) -> dict[str, dict[int, float]]:
     """Top-k accuracy per k of each stage combination run by ``run_stages``,
     keyed by the combination's canonical name; ``seeds`` may be None without S."""
-    adv_cfg = adv_cfg if adv_cfg is not None else AdvConfig()
-    ref_cfg = ref_cfg if ref_cfg is not None else RefineConfig()
     reports: dict[str, dict[int, float]] = {}
     sources = truth.sources()
     for combo in grid:

@@ -58,8 +58,10 @@ def batch_query(
     and a result may be empty. Unknown source tokens yield an oov-marked
     result. A token whose mapped vector is zero has no defined cosine and
     raises ValueError naming the first such token; a W that is not d x d for
-    the source dimension d raises ValueError.
+    the source dimension d, or a threshold outside [0, 1), raises ValueError.
     """
+    if threshold is not None and not 0 <= threshold < 1:
+        raise ValueError(f"threshold {threshold} outside [0, 1)")
     m = np.asarray(w)
     if m.shape != (src.dim, src.dim):
         raise ValueError(f"dimension mismatch: W is {m.shape}, source dimension {src.dim}")

@@ -47,8 +47,8 @@ class RefineConfig:
             raise ValueError("threshold must be in (0, 1)")
         if self.mode not in ("union", "intersection"):
             raise ValueError("mode must be 'union' or 'intersection'")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.selection_topk < 1:
@@ -167,23 +167,19 @@ def refine(
     improvement, when the candidate set comes up empty, or when it repeats the
     previous iteration's set exactly: the re-solve would reproduce the current
     W and its criterion, so that iteration's report row repeats the previous
-    one and the loop ends. The best-scoring snapshot is returned; with no
-    iterations at all (max_iters=0), the input is returned unchanged. The
-    fallback comparison baseline is the orthogonal part of the input, so any
-    actually-refined result is always orthogonal.
+    one and the loop ends. The best-scoring snapshot is returned. The baseline
+    is the orthogonal part of the input, so the result is always orthogonal.
 
     Each W, the input and then each solved one, is ranked against the targets
     once by ``aligned_scan``, whose first ``selection_topk`` rows give its
     criterion. Intersection mode ranks ``max(cfg.topk, selection_topk)``
     sources, as no pair's source is past ``cfg.topk``; union mode ranks all.
+    Iteration ``max_iters`` ranks only the ``selection_topk`` sources its criterion reads.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
             f"dimension mismatch: W is {w2.dim}, source {src.dim}, target {tgt.dim}"
         )
-    if cfg.max_iters == 0:
-        return MappingMatrix(w2.w.copy(), w2.stage, w2.orthogonal)
-
     k_sel = min(cfg.selection_topk, len(src))
     best_w = nearest_orthogonal(w2.w)
     best_criterion = selection_criterion(best_w, src, tgt, k_sel)
@@ -212,7 +208,7 @@ def refine(
             break
         previous = combined
         solved = solve_procrustes(*seed_matrices(combined, src, tgt))
-        scan = aligned_scan(solved.w, src, tgt, rows)
+        scan = aligned_scan(solved.w, src, tgt, k_sel if iteration == cfg.max_iters else rows)
         criterion = float(scan[2][:k_sel].mean())
         if report is not None:
             report.append(RefineStep(iteration, len(combined), criterion))

@@ -286,10 +286,16 @@ class TestAlign:
 
     def test_bad_stage_flag_exits_2_before_loading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
-        code = run("align", "--src-emb", missing, "--tgt-emb", missing, "--stages", "r",
-                   "--refine-threshold", "1.5", "--out-matrix", str(tmp_path / "w.txt"))
-        assert code == 2
-        assert "apimap: error: threshold must be in (0, 1)" in capsys.readouterr().err
+        # --stages is the one way to leave a stage out: a stage runs at least once
+        for stages, flag, value, message in [
+                ("r", "--refine-threshold", "1.5", "threshold must be in (0, 1)"),
+                ("a", "--adv-epochs", "0", "epochs must be >= 1"),
+                ("r", "--refine-iters", "0", "max_iters must be >= 1")]:
+            code = run("align", "--src-emb", missing, "--tgt-emb", missing, "--stages", stages,
+                       flag, value, "--out-matrix", str(tmp_path / "w.txt"))
+            assert code == 2
+            assert f"apimap: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "w.txt").exists()
 
 
 class TestQueryAndEval:
@@ -417,7 +423,8 @@ class TestQueryAndEval:
 
     @pytest.mark.parametrize("flag,value", [
         ("--thresholds", "0.5,1.5"), ("--thresholds", "0.5,x"),
-        ("--k-list", "0,5"), ("--k-list", "1,x")])
+        ("--k-list", "0,5"), ("--k-list", "1,x"),
+        ("--thresholds", "0.5,0.5"), ("--k-list", "1,5,1")])
     def test_eval_bad_number_list_exits_2_before_writing(self, aligned, tmp_path, capsys,
                                                          flag, value):
         out = tmp_path / "report.csv"
@@ -427,6 +434,18 @@ class TestQueryAndEval:
         assert code == 2
         assert not out.exists()
         assert f"apimap: error: {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,item", [
+        ("--ablation", "S,s", "S"), ("--ablation", "R,S+A,s+a", "S+A"),
+        ("--k-list", "1,01", "1"), ("--thresholds", "0.5,0.50", "0.5")])
+    def test_eval_repeated_item_exits_2_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                       flag, value, item):
+        monkeypatch.chdir(tmp_path)  # every input is missing; nothing may be written
+        code = run("eval", "--src-emb", "src.vec", "--tgt-emb", "tgt.vec", "--matrix", "w.txt",
+                   "--truth", "t.tsv", "--seeds", "s.tsv", flag, value, "--out", "e.csv")
+        assert code == 2
+        assert f"apimap: error: {flag}: item {item} is repeated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_ablation_without_s_needs_no_seeds(self, aligned, tmp_path):
         abl = tmp_path / "ablation.csv"

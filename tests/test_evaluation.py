@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apimap.adversarial import AdvConfig
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
 from apimap.errors import FormatError
@@ -18,6 +19,7 @@ from apimap.evaluation import (
     topk_accuracy,
 )
 from apimap.query import QueryResult, batch_query
+from apimap.refinement import RefineConfig
 from apimap.seeding import MappingMatrix, seed_matrices, solve_procrustes
 
 from helpers import make_paired_task
@@ -176,20 +178,19 @@ class TestCoverageAccuracyTable:
         src, tgt, truth = self.cluster_space()
         w = MappingMatrix(np.eye(3), "seeded")
         with pytest.raises(ValueError):
-            coverage_accuracy_table(w, src, tgt, truth, thresholds=[1.0])
+            coverage_accuracy_table(w, src, tgt, truth, thresholds=[1.0], k_list=(1,))
 
     def test_unqueried_truth_source_rejected(self):
         _, _, truth = self.cluster_space()
         with pytest.raises(ValueError, match="not queried"):
-            coverage_rows([], truth, [0.5])
+            coverage_rows([], truth, [0.5], (1,))
 
 
 class TestRunAblation:
     def test_seeding_only_equals_direct_procrustes(self):
         task = make_paired_task(n=300, dim=10, n_seeds=20, n_truth=30, seed=7)
-        reports = run_ablation(
-            task.src, task.tgt, task.seeds, task.truth, ["S"], k_list=(1, 5)
-        )
+        reports = run_ablation(task.src, task.tgt, task.seeds, task.truth, ["S"],
+                               AdvConfig(), RefineConfig(), (1, 5), 0)
         x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
         direct = solve_procrustes(x_s, y_s)
         queried = batch_query(task.truth.sources(), direct, task.src, task.tgt, 5)
@@ -201,7 +202,8 @@ class TestRunAblation:
         # unknown, out-of-order, repeated and empty stage lists
         for combo in ("S+X", "A+S", "S+S", ""):
             with pytest.raises(FormatError, match="bad stage list"):
-                run_ablation(task.src, task.tgt, task.seeds, task.truth, [combo])
+                run_ablation(task.src, task.tgt, task.seeds, task.truth, [combo],
+                             AdvConfig(), RefineConfig(), (1,), 0)
 
     @pytest.mark.parametrize(
         "spec, name", [("s,a,r", "S+A+R"), (" a + r ", "A+R"), ("S+R", "S+R")]

@@ -1,6 +1,7 @@
 """Every public function and class in ``src/apimap`` has a caller outside the tests,
-every defaulted parameter of a public function or method is passed by one, and
-no module of the package or the benchmark uses another module's private names.
+every defaulted parameter of a public function or method is passed by one and
+left out by another, and no module of the package or the benchmark uses another
+module's private names.
 
 A caller is a name or attribute reference in another part of the package (its
 ``__init__`` aside) or in the benchmark under ``apibench/``; a mention in a
@@ -17,6 +18,19 @@ PACKAGE = ROOT / "src" / "apimap"
 REFERENCE_LOSSES = {"sgns_loss"}
 # defaulted parameters that only tests pass, with the reason each may stay
 TEST_ONLY_PARAMETERS = {"cli.main.argv": "it is how the tests drive the CLI"}
+# defaulted parameters that every caller outside the tests passes, so that only
+# tests use the default, with the reason each default may stay
+TEST_ONLY_DEFAULTS = {
+    "adversarial.discriminator_gradients.smoothing":
+        "the unsmoothed loss is the textbook one the loss and gradient tests check",
+    "adversarial.discriminator_gradients.dropout_rng":
+        "without a generator the pass is deterministic, as the gradient checks need",
+    "adversarial.mapping_gradient.smoothing":
+        "the unsmoothed loss is the textbook one the loss and gradient tests check",
+    "corpus.load_signature_table.keywords_path": "a table needs no keyword list",
+    "refinement.aligned_scan.rows": "a scan of every source is the reference",
+    "refinement.refine.report": "the report is optional output",
+}
 
 
 def parsed(path: Path) -> ast.Module:
@@ -70,26 +84,39 @@ def defaulted_parameters(path: Path):
                 yield f"{path.stem}.{prefix}{fn.name}", fn.name, positional, defaulted
 
 
-def test_every_defaulted_parameter_is_passed_outside_the_tests():
+def caller_uses():
+    """(qualified name, defaulted parameters, parameters passed by each call
+    outside the tests) of each public function and method with a default."""
     calls = [node for path in callers() for node in ast.walk(parsed(path))
              if isinstance(node, ast.Call)]
-    unpassed = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, name, positional, defaulted in defaulted_parameters(path):
-            passed = set()
+            passes = []
             for call in calls:
                 func = call.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if called != name:
                     continue
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                        k.arg is None for k in call.keywords):
+                passed = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+                if any(isinstance(a, ast.Starred) for a in call.args) or None in passed:
                     passed.update(defaulted)  # *args or **kwargs may pass any
-                passed.update(positional[:len(call.args)])
-                passed.update(k.arg for k in call.keywords)
-            unpassed += [f"{qualified}.{p}" for p in defaulted
-                         if p not in passed and f"{qualified}.{p}" not in TEST_ONLY_PARAMETERS]
+                passes.append(passed)
+            yield qualified, defaulted, passes
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    unpassed = [f"{qualified}.{p}" for qualified, defaulted, passes in caller_uses()
+                for p in defaulted if not any(p in passed for passed in passes)]
+    unpassed = [name for name in unpassed if name not in TEST_ONLY_PARAMETERS]
     assert not unpassed, f"only tests pass {unpassed}"
+
+
+def test_every_default_is_used_outside_the_tests():
+    always = [f"{qualified}.{p}" for qualified, defaulted, passes in caller_uses()
+              for p in defaulted if passes and all(p in passed for passed in passes)]
+    assert sorted(always) == sorted(TEST_ONLY_DEFAULTS), (
+        f"only tests use the defaults of {sorted(set(always) - set(TEST_ONLY_DEFAULTS))}; "
+        f"listed but used outside the tests: {sorted(set(TEST_ONLY_DEFAULTS) - set(always))}")
 
 
 def private_reads(path: Path) -> list[str]:

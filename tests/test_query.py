@@ -141,6 +141,13 @@ class TestBatchQuery:
         with pytest.raises(ValueError, match="dimension mismatch"):
             batch_query(["s0000"], MappingMatrix(np.eye(3), "seeded"), src, src, 1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        space = space_from([[1.0, 0.0]])
+        w = MappingMatrix(np.eye(2), "seeded", orthogonal=True)
+        with pytest.raises(ValueError, match=rf"^threshold {threshold} outside \[0, 1\)$"):
+            batch_query(["t0000"], w, space, space, 1, threshold)
+
     def test_matches_individual_queries(self):
         rng = np.random.default_rng(4)
         src = space_from(rng.normal(size=(100, 9)), prefix="s")

@@ -198,15 +198,24 @@ class TestCombineCandidates:
             assert len(sources) == len(set(sources))
 
 
-class TestRefine:
-    def test_zero_iterations_returns_input_unchanged(self):
-        task = make_paired_task(n=150, dim=8, n_seeds=10, n_truth=20, seed=3)
-        w2 = MappingMatrix(np.eye(8) * 1.1, "adversarial", orthogonal=False)
-        cfg = RefineConfig(max_iters=0, selection_topk=50)
-        out = refine(w2, task.src, task.tgt, cfg)
-        np.testing.assert_array_equal(out.w, w2.w)
-        assert not out.orthogonal
+class TestRefineConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"topk": 0},
+            {"threshold": 1.0},
+            {"mode": "both"},
+            {"max_iters": 0},
+            {"patience": 0},
+            {"selection_topk": 0},
+        ],
+    )
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            RefineConfig(**kwargs)
 
+
+class TestRefine:
     def test_criterion_never_below_w2(self, sar_runs):
         for run in sar_runs["runs"]:
             assert run["criterion_w3"] >= run["criterion_w2"] - 1e-9
@@ -328,10 +337,37 @@ class TestRefine:
         refine(w2, task.src, task.tgt, cfg, report)
         n = len(task.src)
         # intersection ranks the sources that can enter it and those the
-        # criterion reads; one forward scan per W, the input then each solved W
+        # criterion reads; one forward scan per W, the input then each solved W,
+        # where the W of the last iteration feeds no candidates and so ranks
+        # only the sources the criterion reads
         expected = min(max(k, 300), n) if mode == "intersection" else n
-        assert len(report) >= 3
-        assert forward == [expected] * len(report)
+        assert len(report) == cfg.max_iters + 1
+        assert forward == [expected] * cfg.max_iters + [300]
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    def test_last_iteration_scans_only_the_criterion_rows(self, monkeypatch, mode):
+        from apimap import refinement
+
+        task, w2 = decoy_task_and_start()
+        cfg = RefineConfig(topk=400, threshold=0.6, mode=mode, max_iters=2,
+                           patience=2, selection_topk=300)
+        rows, shipped_report, full_report = [], [], []
+        real_scan = refinement.aligned_scan
+
+        def recording_scan(w, src, tgt, r=None):
+            rows.append(r)
+            return real_scan(w, src, tgt, r)
+
+        monkeypatch.setattr(refinement, "aligned_scan", recording_scan)
+        shipped = refine(w2, task.src, task.tgt, cfg, shipped_report)
+        monkeypatch.setattr(refinement, "aligned_scan",
+                            lambda w, src, tgt, r=None: real_scan(w, src, tgt))
+        full = refine(w2, task.src, task.tgt, cfg, full_report)
+        forward = 400 if mode == "intersection" else None
+        assert rows == [forward, forward, 300]
+        # the leading rows of a scan get the values of the full scan
+        assert shipped.w.tobytes() == full.w.tobytes()
+        assert shipped_report == full_report
 
     @pytest.mark.parametrize("mode", ["intersection", "union"])
     def test_each_w_is_scanned_once(self, monkeypatch, mode):
