@@ -169,6 +169,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise FormatError("--log needs the a stage in --stages")
     if args.refine_report and "R" not in stages:
         raise FormatError("--refine-report needs the r stage in --stages")
+    if args.seeds and "S" not in stages:
+        raise FormatError("--seeds needs the s stage in --stages")
     adv_cfg = _config(adversarial.AdvConfig, args)
     ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt = _load_space_pair(args)
@@ -226,7 +228,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     specs = (args.ablation or "").split(",")
     grid = _distinct("--ablation", [evaluation.parse_stages(g) for g in specs if g.strip()])
-    if any("S" in name for name in grid) and not args.seeds:
+    seeded = any("S" in name for name in grid)
+    if seeded and not args.seeds:
         raise FormatError("--seeds is required when an --ablation item contains S")
     if args.coverage_out and not args.thresholds:
         raise FormatError("--coverage-out needs --thresholds")
@@ -236,12 +239,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                                 "an integer >= 1"))
     thresholds = _number_list("--thresholds", args.thresholds, float, lambda t: 0 <= t < 1,
                               "a number in [0, 1)") if args.thresholds else []
+    if args.seeds and not seeded:
+        raise FormatError("--seeds needs an --ablation item that contains S")
     if grid:
         adv_cfg = _config(adversarial.AdvConfig, args)
         ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt, w = _load_aligned(args)
     truth = evaluation.load_ground_truth(args.truth, args.multi_target)
-    seeds = seeding.load_seeds(args.seeds) if grid and args.seeds else None
+    seeds = seeding.load_seeds(args.seeds) if seeded else None
     config_echo = (
         f"matrix={args.matrix} truth={args.truth} k_list={args.k_list} seed={args.rng_seed}"
     )

@@ -68,8 +68,8 @@ def aligned_scan(
     ``nn[i]`` and ``best[i]`` are the nearest target of source i and their
     cosine, for i below ``rows``. ``topk`` gives any subset of rows the values
     it would give them alone, so a scan of the leading rows agrees with the
-    full scan on them, and ``refine`` reads both heuristics and the selection
-    criterion (the mean of the leading ``best``) off this one scan of W.
+    full scan on them. ``refine`` builds each dictionary from one such scan,
+    which feeds both candidate heuristics.
     """
     mapped = unit_rows(src.vectors @ np.asarray(w).T)
     nn, best = topk(mapped[:rows], tgt.unit_vectors, 1)
@@ -161,20 +161,20 @@ def refine(
 ) -> MappingMatrix:
     """Iteratively re-solve the mapping on synthetic candidate dictionaries.
 
-    Each iteration builds candidates under the current W, solves the orthogonal
-    alignment on them, and scores it with the selection criterion. The loop
-    stops after ``max_iters`` iterations, after ``patience`` iterations without
-    improvement, when the candidate set comes up empty, or when it repeats the
-    previous iteration's set exactly: the re-solve would reproduce the current
-    W and its criterion, so that iteration's report row repeats the previous
-    one and the loop ends. The best-scoring snapshot is returned. The baseline
-    is the orthogonal part of the input, so the result is always orthogonal.
+    The baseline is the orthogonal part of the input. Each iteration builds
+    candidates from one ``aligned_scan`` of the current W (the input, then the
+    last solved W), solves the orthogonal alignment on them, and scores the
+    solved W with ``selection_criterion``. The loop stops after ``max_iters``
+    iterations, after ``patience`` iterations without beating the best score,
+    when the candidate set comes up empty, or when it repeats the previous
+    iteration's set exactly: the re-solve would reproduce the current W and
+    its criterion, so that iteration's report row repeats the previous one.
+    The best-scoring W, the baseline included, is returned; it is always
+    orthogonal. Report row 0 is the baseline's criterion.
 
-    Each W, the input and then each solved one, is ranked against the targets
-    once by ``aligned_scan``, whose first ``selection_topk`` rows give its
-    criterion. Intersection mode ranks ``max(cfg.topk, selection_topk)``
-    sources, as no pair's source is past ``cfg.topk``; union mode ranks all.
-    Iteration ``max_iters`` ranks only the ``selection_topk`` sources its criterion reads.
+    Intersection mode ranks only the first ``cfg.topk`` sources, as no pair's
+    source is past them; union mode ranks all. No W is scanned after the last
+    solve.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -182,19 +182,17 @@ def refine(
         )
     k_sel = min(cfg.selection_topk, len(src))
     best_w = nearest_orthogonal(w2.w)
-    best_criterion = selection_criterion(best_w, src, tgt, k_sel)
-    # no source past topk can enter an intersection; the criterion reads k_sel
-    rows = max(cfg.topk, k_sel) if cfg.mode == "intersection" else None
-    scan = aligned_scan(w2.w, src, tgt, rows)
-    criterion = float(scan[2][:k_sel].mean())
+    best_criterion = criterion = selection_criterion(best_w, src, tgt, k_sel)
     if report is not None:
         report.append(RefineStep(0, 0, criterion))
+    w = w2.w
     previous: SeedDictionary | None = None
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
+        scan = aligned_scan(w, src, tgt, cfg.topk if cfg.mode == "intersection" else None)
         by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk)
         by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
-        # the mapped sources need not stay resident through the next scan
+        # the mapped sources need not stay resident through the solve and next scan
         del scan
         combined = combine_candidates(by_freq, by_sim, cfg.mode)
         if len(combined) == 0:
@@ -207,17 +205,16 @@ def refine(
                 report.append(RefineStep(iteration, len(combined), criterion))
             break
         previous = combined
-        solved = solve_procrustes(*seed_matrices(combined, src, tgt))
-        scan = aligned_scan(solved.w, src, tgt, k_sel if iteration == cfg.max_iters else rows)
-        criterion = float(scan[2][:k_sel].mean())
+        w = solve_procrustes(*seed_matrices(combined, src, tgt)).w
+        criterion = selection_criterion(w, src, tgt, k_sel)
         if report is not None:
             report.append(RefineStep(iteration, len(combined), criterion))
         if criterion > best_criterion:
             best_criterion = criterion
-            best_w = solved.w
+            best_w = w
             stalled = 0
         else:
             stalled += 1
             if stalled >= cfg.patience:
                 break
-    return MappingMatrix(best_w.copy(), STAGE_REFINED, orthogonal=True)
+    return MappingMatrix(best_w, STAGE_REFINED, orthogonal=True)

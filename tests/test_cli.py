@@ -521,6 +521,20 @@ class TestExitCodes:
         assert f"apimap: error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (("align", "--stages", "a,r", "--out-matrix", "w.txt"),
+         "--seeds needs the s stage in --stages"),
+        (("eval", "--matrix", "w.txt", "--truth", "t.tsv", "--ablation", "R,A+R",
+          "--out", "e.csv"), "--seeds needs an --ablation item that contains S"),
+    ])
+    def test_seed_file_no_stage_reads_exits_2_before_loading(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)  # every input is missing; nothing may be written
+        code = run(*argv, "--seeds", "s.tsv", "--src-emb", "src.vec", "--tgt-emb", "tgt.vec")
+        assert code == 2
+        assert f"apimap: error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_subcommand_exits_2(self):
         assert run("frobnicate") == 2
 

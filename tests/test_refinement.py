@@ -336,50 +336,41 @@ class TestRefine:
         report = []
         refine(w2, task.src, task.tgt, cfg, report)
         n = len(task.src)
-        # intersection ranks the sources that can enter it and those the
-        # criterion reads; one forward scan per W, the input then each solved W,
-        # where the W of the last iteration feeds no candidates and so ranks
-        # only the sources the criterion reads
-        expected = min(max(k, 300), n) if mode == "intersection" else n
+        # intersection ranks only the sources that can enter it; one forward
+        # scan per dictionary, built from the input and then each solved W
+        expected = min(k, n) if mode == "intersection" else n
         assert len(report) == cfg.max_iters + 1
-        assert forward == [expected] * cfg.max_iters + [300]
-
-    @pytest.mark.parametrize("mode", ["intersection", "union"])
-    def test_last_iteration_scans_only_the_criterion_rows(self, monkeypatch, mode):
-        from apimap import refinement
-
-        task, w2 = decoy_task_and_start()
-        cfg = RefineConfig(topk=400, threshold=0.6, mode=mode, max_iters=2,
-                           patience=2, selection_topk=300)
-        rows, shipped_report, full_report = [], [], []
-        real_scan = refinement.aligned_scan
-
-        def recording_scan(w, src, tgt, r=None):
-            rows.append(r)
-            return real_scan(w, src, tgt, r)
-
-        monkeypatch.setattr(refinement, "aligned_scan", recording_scan)
-        shipped = refine(w2, task.src, task.tgt, cfg, shipped_report)
-        monkeypatch.setattr(refinement, "aligned_scan",
-                            lambda w, src, tgt, r=None: real_scan(w, src, tgt))
-        full = refine(w2, task.src, task.tgt, cfg, full_report)
-        forward = 400 if mode == "intersection" else None
-        assert rows == [forward, forward, 300]
-        # the leading rows of a scan get the values of the full scan
-        assert shipped.w.tobytes() == full.w.tobytes()
-        assert shipped_report == full_report
+        assert forward == [expected] * cfg.max_iters
 
     @pytest.mark.parametrize("mode", ["intersection", "union"])
     def test_each_w_is_scanned_once(self, monkeypatch, mode):
         cfg = RefineConfig(topk=100, threshold=0.6, mode=mode, max_iters=3,
                            patience=3, selection_topk=300)
         _, w2, report, scanned, solved, criterion_calls = record_refine(monkeypatch, cfg)
-        assert len(solved) >= 2
-        # the input, then each solved W, each once
-        assert [w.tobytes() for w in scanned] == [w.tobytes() for w in [w2.w, *solved]]
-        # the criterion is called for the baseline alone: the input's polar factor
-        assert len(criterion_calls) == 1
-        np.testing.assert_array_equal(criterion_calls[0][0], nearest_orthogonal(w2.w))
+        assert len(report) == len(solved) + 1 >= 3
+        # the input, then each solved W but the last, each once
+        assert [w.tobytes() for w in scanned] == [w.tobytes() for w in [w2.w, *solved[:-1]]]
+        # the criterion scores the baseline, the input's polar factor, then each solved W
+        scored = [np.asarray(args[0]) for args in criterion_calls]
+        assert [w.tobytes() for w in scored] == [
+            w.tobytes() for w in [nearest_orthogonal(w2.w), *solved]]
+
+    def test_union_loop_ending_on_patience_scans_no_w_after_its_last_solve(self, monkeypatch):
+        cfg = RefineConfig(topk=100, threshold=0.8, mode="union", max_iters=5,
+                           patience=1, selection_topk=300)
+        _, w2, report, scanned, solved, _ = record_refine(monkeypatch, cfg)
+        # the loop ended on patience: its last solved W did not beat the best
+        assert len(report) - 1 == len(solved) < cfg.max_iters
+        assert report[-1].criterion <= max(step.criterion for step in report[:-1])
+        assert len(scanned) == len(solved)
+
+    def test_report_row_0_is_the_baseline(self, monkeypatch):
+        cfg = RefineConfig(topk=100, threshold=0.6, mode="intersection", max_iters=3,
+                           patience=3, selection_topk=300)
+        task, w2, report, _, _, _ = record_refine(monkeypatch, cfg)
+        baseline = selection_criterion(nearest_orthogonal(w2.w), task.src, task.tgt, 300)
+        assert report[0].criterion == baseline
+        assert report[0].criterion != selection_criterion(w2.w, task.src, task.tgt, 300)
 
     @pytest.mark.parametrize("mode", ["intersection", "union"])
     @pytest.mark.parametrize("k", [100, 1000])
@@ -388,7 +379,7 @@ class TestRefine:
                            patience=3, selection_topk=300)
         task, w2, report, _, solved, _ = record_refine(monkeypatch, cfg)
         assert len(report) == len(solved) + 1 >= 3
-        for step, w in zip(report, [w2.w, *solved]):
+        for step, w in zip(report, [nearest_orthogonal(w2.w), *solved]):
             assert step.criterion == selection_criterion(w, task.src, task.tgt, 300)
 
     def test_refine_calls_public_heuristics_each_iteration(self, monkeypatch):
