@@ -58,19 +58,22 @@ def batch_query(
     and a result may be empty. Unknown source tokens yield an oov-marked
     result. A token whose mapped vector is zero has no defined cosine and
     raises ValueError naming the first such token; a W that is not d x d for
-    the source dimension d, or a threshold outside [0, 1), raises ValueError.
+    the source dimension d, a target space of another dimension, or a
+    threshold outside [0, 1), raises ValueError.
     """
     if threshold is not None and not 0 <= threshold < 1:
         raise ValueError(f"threshold {threshold} outside [0, 1)")
     m = np.asarray(w)
-    if m.shape != (src.dim, src.dim):
-        raise ValueError(f"dimension mismatch: W is {m.shape}, source dimension {src.dim}")
+    if m.shape != (src.dim, src.dim) or tgt.dim != src.dim:
+        raise ValueError(
+            f"dimension mismatch: W is {m.shape}, source {src.dim}, target {tgt.dim}"
+        )
     known = [t for t in tokens if t in src]
-    mapped = np.empty((len(known), src.dim))
-    # one product per token: a row of X @ W.T can differ in its last bits from
-    # the same row computed alone, and a batch must equal its queries run singly
-    for i, token in enumerate(known):
-        mapped[i] = m @ src.vector(token)
+    rows = src.vectors[[src.vocab.index(t) for t in known]]
+    # one matrix-vector product per token: a row of X @ W.T can differ in its
+    # last bits from the same row computed alone, and a batch must equal its
+    # queries run singly
+    mapped = np.matmul(m, rows[:, :, None])[:, :, 0]
     zero = np.flatnonzero(~(np.linalg.norm(mapped, axis=1) > 0))
     if zero.size:
         raise ValueError(f"undefined cosine for zero query vector of {known[zero[0]]!r}")

@@ -1,10 +1,10 @@
 """Iterative refinement: rebuild synthetic dictionaries, re-solve, repeat.
 
-Candidate pairs come from two heuristics over the currently aligned spaces,
-nearest neighbors of the most frequent source tokens and nearest neighbors
-above a cosine threshold. Combined candidates feed a closed-form orthogonal
-re-solve; the loop keeps the best-scoring snapshot under the unsupervised
-selection criterion.
+Two heuristics pick source rows of one scan of the currently aligned spaces:
+frequent sources with a mutual nearest neighbor, and sources whose nearest
+neighbor is above a cosine threshold. Their combined rows, each paired with
+its nearest neighbor, feed a closed-form orthogonal re-solve; the loop keeps
+the best-scoring snapshot under the unsupervised selection criterion.
 """
 
 from __future__ import annotations
@@ -78,69 +78,34 @@ def aligned_scan(
 
 def candidates_topk_frequency(
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
-    src: EmbeddingSpace,
     tgt: EmbeddingSpace,
     k: int,
-) -> SeedDictionary:
-    """Pair each of the k most frequent source tokens with its nearest neighbor
-    in ``scan = aligned_scan(w, src, tgt, rows)``; a scan of fewer than k rows
-    pairs only its scanned sources.
-
-    A pair survives only if the source is in turn the nearest mapped source of
-    its chosen target, the standard quality filter for synthetic dictionaries.
+) -> np.ndarray:
+    """Ascending rows i among the k most frequent sources of ``scan =
+    aligned_scan(w, src, tgt, rows)`` (only its scanned rows, if fewer) that
+    are in turn the nearest mapped source of their nearest target ``nn[i]``:
+    the mutual-neighbor filter standard for synthetic dictionaries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mapped, nn, _ = scan
     k = min(k, len(nn))
-    nn = nn[:k]
     # best mapped source for each chosen target, searched over all sources
-    keep = topk(tgt.unit_vectors[nn], mapped, 1)[0][:, 0] == np.arange(k)
-    return SeedDictionary(
-        tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in range(k) if keep[i])
-    )
+    return np.flatnonzero(topk(tgt.unit_vectors[nn[:k]], mapped, 1)[0][:, 0] == np.arange(k))
 
 
 def candidates_cosine_threshold(
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
     threshold: float,
-) -> SeedDictionary:
-    """All (source, nearest neighbor) pairs of ``scan = aligned_scan(w, src, tgt,
-    rows)`` with cosine at or above the threshold.
-
-    Only the scanned sources are candidates: with ``rows`` given, the pairs
-    come from the first ``rows`` sources alone.
-
-    Not every API has a counterpart, so an empty dictionary is a legitimate
-    outcome at high thresholds.
+) -> np.ndarray:
+    """Ascending rows i of ``scan = aligned_scan(w, src, tgt, rows)`` whose
+    nearest target ``nn[i]`` has cosine at or above the threshold; only the
+    scanned rows are candidates. Not every API has a counterpart, so no row at
+    all is a legitimate outcome at high thresholds.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
-    _, nn, best = scan
-    return SeedDictionary(
-        tuple(
-            (src.vocab.tokens[i], tgt.vocab.tokens[nn[i]])
-            for i in np.flatnonzero(best >= threshold)
-        )
-    )
-
-
-def combine_candidates(
-    a: SeedDictionary, b: SeedDictionary, mode: str
-) -> SeedDictionary:
-    """Set union or intersection of two candidate dictionaries.
-
-    Order is stable: a's pairs first, then (for union) b's novel pairs.
-    """
-    if mode == "intersection":
-        b_set = set(b.pairs)
-        return SeedDictionary(tuple(p for p in a.pairs if p in b_set))
-    if mode == "union":
-        a_set = set(a.pairs)
-        return SeedDictionary(a.pairs + tuple(p for p in b.pairs if p not in a_set))
-    raise ValueError("mode must be 'union' or 'intersection'")
+    return np.flatnonzero(scan[2] >= threshold)
 
 
 @dataclass
@@ -172,9 +137,11 @@ def refine(
     The best-scoring W, the baseline included, is returned; it is always
     orthogonal. Report row 0 is the baseline's criterion.
 
-    Intersection mode ranks only the first ``cfg.topk`` sources, as no pair's
-    source is past them; union mode ranks all. No W is scanned after the last
-    solve.
+    A dictionary pairs each chosen source row i with ``nn[i]``: the frequent
+    rows that pass the threshold in intersection mode, or the frequent rows
+    and then the other threshold rows in union mode. Intersection mode ranks
+    only the first ``cfg.topk`` sources, as no chosen row is past them; union
+    mode ranks all. No W is scanned after the last solve.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -190,11 +157,18 @@ def refine(
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
         scan = aligned_scan(w, src, tgt, cfg.topk if cfg.mode == "intersection" else None)
-        by_freq = candidates_topk_frequency(scan, src, tgt, cfg.topk)
-        by_sim = candidates_cosine_threshold(scan, src, tgt, cfg.threshold)
+        by_freq = candidates_topk_frequency(scan, tgt, cfg.topk)
+        by_sim = candidates_cosine_threshold(scan, cfg.threshold)
         # the mapped sources need not stay resident through the solve and next scan
+        nn = scan[1]
         del scan
-        combined = combine_candidates(by_freq, by_sim, cfg.mode)
+        if cfg.mode == "intersection":
+            rows = by_freq[np.isin(by_freq, by_sim)]
+        else:
+            rows = np.concatenate([by_freq, by_sim[~np.isin(by_sim, by_freq)]])
+        combined = SeedDictionary(
+            tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in rows)
+        )
         if len(combined) == 0:
             log.warning(
                 "refinement stopped at iteration %d: empty candidate set", iteration

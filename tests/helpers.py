@@ -102,6 +102,19 @@ def make_paired_task(
     return PairedTask(src, tgt, rotation, seed_idx, truth_idx)
 
 
+def rotate_pair(
+    src: EmbeddingSpace, tgt: EmbeddingSpace, p: np.ndarray, q: np.ndarray
+) -> tuple[EmbeddingSpace, EmbeddingSpace]:
+    """The pair with every source vector x replaced by P x and every target
+    vector y by Q y, vocabularies unchanged. Cosines between W-mapped sources
+    and targets are the same under Q W P^T in the rotated pair, so a W that its
+    data determine must become Q W P^T."""
+    return (
+        EmbeddingSpace(src.vectors @ p.T, src.vocab),
+        EmbeddingSpace(tgt.vectors @ q.T, tgt.vocab),
+    )
+
+
 def oracle_top1(w, src: EmbeddingSpace, tgt: EmbeddingSpace, truth_idx: np.ndarray) -> float:
     """Ground-truth top-1 accuracy by direct argmax over all target cosines."""
     m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)

@@ -141,6 +141,15 @@ class TestBatchQuery:
         with pytest.raises(ValueError, match="dimension mismatch"):
             batch_query(["s0000"], MappingMatrix(np.eye(3), "seeded"), src, src, 1)
 
+    def test_target_dimension_mismatch(self):
+        src = space_from(np.eye(4), prefix="s")
+        tgt = space_from(np.eye(3))
+        w = MappingMatrix(np.eye(4), "seeded", orthogonal=True)
+        with pytest.raises(
+            ValueError, match=r"^dimension mismatch: W is \(4, 4\), source 4, target 3$"
+        ):
+            batch_query(["s0000"], w, src, tgt, 1)
+
     @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         space = space_from([[1.0, 0.0]])

@@ -14,12 +14,10 @@ from apimap.refinement import (
     aligned_scan,
     candidates_cosine_threshold,
     candidates_topk_frequency,
-    combine_candidates,
     refine,
 )
 from apimap.seeding import (
     MappingMatrix,
-    SeedDictionary,
     nearest_orthogonal,
     random_orthogonal,
     seed_matrices,
@@ -85,12 +83,13 @@ class TestTopkFrequencyCandidates:
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs, prefix="t")
         scan = aligned_scan(np.eye(8), src, tgt)
-        pairs = candidates_topk_frequency(scan, src, tgt, k=10)
-        assert list(pairs) == [(f"s{i:04d}", f"t{i:04d}") for i in range(10)]
-        # a scan of the leading rows pairs only the sources it scanned
+        rows = candidates_topk_frequency(scan, tgt, k=10)
+        assert rows.tolist() == list(range(10))
+        assert scan[1][rows].tolist() == list(range(10))
+        # a scan of the leading rows offers only the sources it scanned
         short = aligned_scan(np.eye(8), src, tgt, rows=4)
-        kept = candidates_topk_frequency(short, src, tgt, k=10)
-        assert kept == SeedDictionary(pairs.pairs[:4])
+        kept = candidates_topk_frequency(short, tgt, k=10)
+        assert kept.tolist() == rows[:4].tolist()
 
     def test_default_k_is_500(self):
         assert RefineConfig().topk == 500
@@ -102,19 +101,18 @@ class TestTopkFrequencyCandidates:
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs[perm], prefix="t")
         # brute-force expectation: source i sits at target row argwhere(perm == i)
-        expected = {(f"s{i:04d}", f"t{int(np.flatnonzero(perm == i)[0]):04d}")
-                    for i in range(12)}
+        expected = {(i, int(np.flatnonzero(perm == i)[0])) for i in range(12)}
         scan = aligned_scan(np.eye(10), src, tgt)
-        pairs = candidates_topk_frequency(scan, src, tgt, k=12)
-        assert set(pairs) == expected
+        rows = candidates_topk_frequency(scan, tgt, k=12)
+        assert {(int(i), int(scan[1][i])) for i in rows} == expected
 
     def test_mutual_filter_drops_contested_targets(self):
         # two sources share the same nearest target; only the reciprocal wins
         src = space_from([[1.0, 0.0], [0.9, 0.1]], prefix="s")
         tgt = space_from([[1.0, 0.0]], prefix="t")
         scan = aligned_scan(np.eye(2), src, tgt)
-        kept = candidates_topk_frequency(scan, src, tgt, k=2)
-        assert list(kept) == [("s0000", "t0000")]
+        kept = candidates_topk_frequency(scan, tgt, k=2)
+        assert kept.tolist() == [0] and scan[1][0] == 0
 
 
 class TestCosineThresholdCandidates:
@@ -126,10 +124,8 @@ class TestCosineThresholdCandidates:
         src = space_from(rng.normal(size=(40, 12)), prefix="s")
         tgt = space_from(rng.normal(size=(40, 12)), prefix="t")
         w = random_orthogonal(12, rng)
-        pairs = candidates_cosine_threshold(
-            aligned_scan(w, src, tgt), src, tgt, threshold=0.999
-        )
-        assert len(pairs) <= 1
+        rows = candidates_cosine_threshold(aligned_scan(w, src, tgt), threshold=0.999)
+        assert len(rows) <= 1
 
     def test_separates_aligned_from_unaligned(self):
         aligned = np.eye(3)
@@ -139,8 +135,9 @@ class TestCosineThresholdCandidates:
         )
         tgt = space_from(aligned, prefix="t")
         scan = aligned_scan(np.eye(3), src, tgt)
-        pairs = candidates_cosine_threshold(scan, src, tgt, threshold=0.95)
-        assert set(pairs) == {("s0000", "t0000"), ("s0001", "t0001"), ("s0002", "t0002")}
+        rows = candidates_cosine_threshold(scan, threshold=0.95)
+        assert rows.tolist() == [0, 1, 2]
+        assert scan[1][rows].tolist() == [0, 1, 2]
 
     def test_never_allocates_a_full_similarity_matrix(self):
         # a float64 n_src x n_tgt matrix here would take 103.7 MB
@@ -153,49 +150,17 @@ class TestCosineThresholdCandidates:
         tracemalloc.start()
         try:
             scan = aligned_scan(np.eye(d), src, tgt)
-            pairs = candidates_cosine_threshold(scan, src, tgt, threshold=0.9)
+            rows = candidates_cosine_threshold(scan, threshold=0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 10
-        assert len(pairs) > n // 2
+        assert len(rows) > n // 2
 
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            candidates_cosine_threshold(
-                aligned_scan(np.eye(2), src, src), src, src, threshold=1.0
-            )
-
-
-class TestCombineCandidates:
-    A = SeedDictionary((("x", "y"),))
-    B = SeedDictionary((("x", "y"), ("u", "v")))
-
-    def test_intersection(self):
-        assert list(combine_candidates(self.A, self.B, "intersection")) == [("x", "y")]
-
-    def test_union_keeps_stable_order(self):
-        assert list(combine_candidates(self.A, self.B, "union")) == [("x", "y"), ("u", "v")]
-        assert list(combine_candidates(self.B, self.A, "union")) == [("x", "y"), ("u", "v")]
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            combine_candidates(self.A, self.B, "xor")
-
-    def test_each_source_at_most_once(self):
-        # both heuristics take a source's nearest neighbour under the same W,
-        # so neither combination can pair one source with two targets
-        task, w = decoy_task_and_start()
-        scan = aligned_scan(w, task.src, task.tgt)
-        by_freq = candidates_topk_frequency(scan, task.src, task.tgt, 200)
-        by_sim = candidates_cosine_threshold(scan, task.src, task.tgt, 0.6)
-        union = combine_candidates(by_freq, by_sim, "union")
-        inter = combine_candidates(by_freq, by_sim, "intersection")
-        assert len(union) > len(inter) > 0
-        for combined in (union, inter):
-            sources = [s for s, _ in combined]
-            assert len(sources) == len(set(sources))
+            candidates_cosine_threshold(aligned_scan(np.eye(2), src, src), threshold=1.0)
 
 
 class TestRefineConfig:
@@ -272,30 +237,73 @@ class TestRefine:
         cfg = RefineConfig(topk=100, threshold=0.7, mode="union", max_iters=4,
                            patience=4, selection_topk=300)
         scans, seen = [], []
-        real_scan, real_combine = refinement.aligned_scan, refinement.combine_candidates
+        real_scan = refinement.aligned_scan
 
         def counting_scan(w, src, tgt, *rest):
             scans.append(src)
             seen.append(np.array(w))
             return real_scan(w, src, tgt, *rest)
 
-        def recording_combine(a, b, mode):
-            seen.append((a, b))
-            return real_combine(a, b, mode)
-
         monkeypatch.setattr(refinement, "aligned_scan", counting_scan)
-        monkeypatch.setattr(refinement, "combine_candidates", recording_combine)
+        for name in ("candidates_topk_frequency", "candidates_cosine_threshold"):
+            def recording(*args, _real=getattr(refinement, name)):
+                seen.append(_real(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(refinement, name, recording)
         report = []
         refine(w2, task.src, task.tgt, cfg, report)
         iterations = len(report) - 1
         assert iterations >= 2
         assert len(scans) == iterations and all(s is task.src for s in scans)
         monkeypatch.undo()
-        # each iteration's candidates are what the public heuristics give for its W
-        for w, (by_freq, by_sim) in zip(seen[0::2], seen[1::2]):
+        # each iteration's rows are what the public heuristics give for its W
+        for w, by_freq, by_sim in zip(seen[0::3], seen[1::3], seen[2::3]):
             scan = aligned_scan(w, task.src, task.tgt)
-            assert by_freq == candidates_topk_frequency(scan, task.src, task.tgt, 100)
-            assert by_sim == candidates_cosine_threshold(scan, task.src, task.tgt, 0.7)
+            assert by_freq.tolist() == candidates_topk_frequency(scan, task.tgt, 100).tolist()
+            assert by_sim.tolist() == candidates_cosine_threshold(scan, 0.7).tolist()
+
+    def test_dictionary_is_chosen_rows_each_with_its_nearest_target(self, monkeypatch):
+        # both heuristics pick rows of one scan, so a dictionary pairs each
+        # chosen source row i with its nearest target nn[i], once
+        from apimap import refinement
+
+        task, w2 = decoy_task_and_start()
+        src, tgt = task.src, task.tgt
+        first = {}
+        for mode in ("intersection", "union"):
+            cfg = RefineConfig(topk=200, threshold=0.6, mode=mode, max_iters=3,
+                               patience=3, selection_topk=300)
+            scanned, solved_on = [], []
+            real_scan, real_seed = refinement.aligned_scan, refinement.seed_matrices
+
+            def recording_scan(w, *rest):
+                scanned.append(np.array(w))
+                return real_scan(w, *rest)
+
+            def recording_seed(seeds, *rest):
+                solved_on.append(seeds)
+                return real_seed(seeds, *rest)
+
+            monkeypatch.setattr(refinement, "aligned_scan", recording_scan)
+            monkeypatch.setattr(refinement, "seed_matrices", recording_seed)
+            refine(w2, src, tgt, cfg)
+            monkeypatch.undo()
+            assert len(solved_on) == len(scanned) >= 2
+            for w, seeds in zip(scanned, solved_on):
+                scan = aligned_scan(w, src, tgt)
+                by_freq = candidates_topk_frequency(scan, tgt, 200).tolist()
+                by_sim = candidates_cosine_threshold(scan, 0.6).tolist()
+                if mode == "intersection":
+                    rows = sorted(set(by_freq) & set(by_sim))
+                else:
+                    rows = by_freq + sorted(set(by_sim) - set(by_freq))
+                assert list(seeds) == [
+                    (src.vocab.tokens[i], tgt.vocab.tokens[scan[1][i]]) for i in rows]
+                sources = [s for s, _ in seeds]
+                assert len(sources) == len(set(sources))
+            first[mode] = len(solved_on[0])
+        assert first["union"] > first["intersection"] > 0
 
     @pytest.mark.parametrize("k", [100, 480, 1000])
     def test_intersection_equals_refine_over_a_full_scan(self, monkeypatch, k):
