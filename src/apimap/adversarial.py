@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError
 from .seeding import MappingMatrix, STAGE_ADVERSARIAL, is_orthogonal
-from .similarity import topk, unit_rows
+from .similarity import topk
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-7
@@ -273,7 +273,7 @@ def selection_criterion(
         raise ValueError("k must be >= 1")
     if k > len(src):
         raise ValueError(f"k={k} exceeds source vocabulary size {len(src)}")
-    _, best = topk(unit_rows(src.vectors[:k] @ np.asarray(w).T), tgt.unit_vectors, 1)
+    _, best = topk(src.vectors[:k] @ np.asarray(w).T, tgt.vectors, 1)
     return float(best.mean())
 
 

@@ -22,13 +22,13 @@ import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .corpus import CodeSequence, Vocabulary, build_vocabulary, parse_float, read_tsv
 from .errors import FormatError
-from .similarity import TILE_BYTES, unit_rows
+from .similarity import TILE_BYTES
 
 NEGATIVE_TABLE_EXPONENT = 0.75
 MIN_LEARNING_RATE = 1e-4
@@ -102,11 +102,6 @@ class EmbeddingSpace:
 
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.vocab.index(token)]
-
-    @cached_property
-    def unit_vectors(self) -> np.ndarray:
-        """Row-normalized copy of the vectors, cached. Zero rows stay zero."""
-        return unit_rows(self.vectors)
 
 
 def subsample_keep_probs(counts: np.ndarray, subsample: float) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Cross-space nearest-neighbor queries over an aligned pair of embedding spaces.
 
 A query maps a source vector through W and ranks target tokens by cosine
-similarity with an exact scan. Target vectors are pre-normalized once per
-space, so ranking reduces to a dot product; a batch of queries is ranked by
-one tiled scan (``similarity.topk``) and gets the same results as the same
-queries one at a time.
+similarity with an exact scan. A batch of queries is ranked by one tiled scan
+(``similarity.topk``), which normalizes the raw query and target rows block by
+block, and gets the same results as the same queries one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .embedding import EmbeddingSpace
 from .seeding import MappingMatrix
-from .similarity import topk, unit_rows
+from .similarity import topk
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def batch_query(
     zero = np.flatnonzero(~(np.linalg.norm(mapped, axis=1) > 0))
     if zero.size:
         raise ValueError(f"undefined cosine for zero query vector of {known[zero[0]]!r}")
-    idx, sims = topk(unit_rows(mapped), tgt.unit_vectors, k)
+    idx, sims = topk(mapped, tgt.vectors, k)
     names = tgt.vocab.tokens
     ranked = (
         QueryResult(

@@ -24,7 +24,7 @@ from .seeding import (
     seed_matrices,
     solve_procrustes,
 )
-from .similarity import topk, unit_rows
+from .similarity import topk
 
 log = logging.getLogger(__name__)
 
@@ -61,18 +61,18 @@ def aligned_scan(
     tgt: EmbeddingSpace,
     rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every source mapped under W and unit-normalized, and the nearest target
-    of each of the first ``rows`` sources (all of them by default).
+    """Every source mapped under W, and the nearest target of each of the
+    first ``rows`` sources (all of them by default).
 
-    Returns ``(mapped_unit, nn, best)``: ``mapped_unit`` holds every source;
-    ``nn[i]`` and ``best[i]`` are the nearest target of source i and their
-    cosine, for i below ``rows``. ``topk`` gives any subset of rows the values
-    it would give them alone, so a scan of the leading rows agrees with the
-    full scan on them. ``refine`` builds each dictionary from one such scan,
+    Returns ``(mapped, nn, best)``: ``mapped`` holds every source mapped, not
+    normalized; ``nn[i]`` and ``best[i]`` are the nearest target of source i
+    and their cosine, for i below ``rows``. ``topk`` gives any subset of rows
+    the values it would give them alone, so a scan of the leading rows agrees
+    with the full scan on them. ``refine`` builds each dictionary from one such scan,
     which feeds both candidate heuristics.
     """
-    mapped = unit_rows(src.vectors @ np.asarray(w).T)
-    nn, best = topk(mapped[:rows], tgt.unit_vectors, 1)
+    mapped = src.vectors @ np.asarray(w).T
+    nn, best = topk(mapped[:rows], tgt.vectors, 1)
     return mapped, nn[:, 0], best[:, 0]
 
 
@@ -91,7 +91,7 @@ def candidates_topk_frequency(
     mapped, nn, _ = scan
     k = min(k, len(nn))
     # best mapped source for each chosen target, searched over all sources
-    return np.flatnonzero(topk(tgt.unit_vectors[nn[:k]], mapped, 1)[0][:, 0] == np.arange(k))
+    return np.flatnonzero(topk(tgt.vectors[nn[:k]], mapped, 1)[0][:, 0] == np.arange(k))
 
 
 def candidates_cosine_threshold(

@@ -120,7 +120,7 @@ def oracle_top1(w, src: EmbeddingSpace, tgt: EmbeddingSpace, truth_idx: np.ndarr
     m = w.w if isinstance(w, MappingMatrix) else np.asarray(w)
     mapped = src.vectors[truth_idx[:, 0]] @ m.T
     mapped = mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
-    sims = mapped @ tgt.unit_vectors.T
+    sims = mapped @ unit_rows(tgt.vectors).T
     return float(np.mean(sims.argmax(axis=1) == truth_idx[:, 1]))
 
 

@@ -511,16 +511,3 @@ class TestEmbeddingSpace:
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError):
             EmbeddingSpace(np.zeros((2, 3)), Vocabulary(["a"], [1]))
-
-    def test_unit_vectors_cached_and_normalized(self):
-        space = EmbeddingSpace(
-            np.array([[3.0, 4.0], [0.0, 0.0]]), Vocabulary(["a", "b"], [2, 1])
-        )
-        unit = space.unit_vectors
-        np.testing.assert_allclose(unit[0], [0.6, 0.8])
-        np.testing.assert_allclose(unit[1], [0.0, 0.0])
-        assert space.unit_vectors is unit
-
-    def test_unit_vectors_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            EmbeddingSpace(np.ones((1, 2)), Vocabulary(["a"], [1]), _unit=np.zeros((1, 2)))

@@ -98,7 +98,7 @@ class TestNearestNeighbors:
         result = query_vector(v, space, k=45)
         oracle = brute_force_neighbors(v, space.vectors, 30)
         assert result.tokens == [space.vocab.tokens[i] for i, _ in oracle]
-        idx, sims = similarity.topk(space.unit_vectors[:3], space.unit_vectors, 30)
+        idx, sims = similarity.topk(space.vectors[:3], space.vectors, 30)
         assert idx.shape == sims.shape == (3, 30)
         assert [sorted(row) for row in idx.tolist()] == [list(range(30))] * 3
 
@@ -236,7 +236,7 @@ class TestTopkKernel:
                          center + 1e-7 * np.linalg.norm(center) * rng.normal(size=(20, d))])
         queries = np.vstack([tgt[3], e[0] + 1e-3 * e[1], np.zeros(d), rng.normal(size=(5, d)),
                              center + 0.3 * rng.normal(size=(6, d)), tgt[3]])
-        return similarity.unit_rows(queries), similarity.unit_rows(tgt)
+        return queries, tgt
 
     @pytest.mark.parametrize("tile_rows", [1, 2, 7, None])
     def test_matches_brute_force_on_ties_and_tiny_differences(self, monkeypatch, tile_rows):
@@ -244,7 +244,7 @@ class TestTopkKernel:
         n_t = len(tgt)
         if tile_rows is not None:
             monkeypatch.setattr(similarity, "TILE_BYTES", tile_rows * 4 * n_t)
-        oracle = kernel_oracle(queries, tgt, n_t)
+        oracle = kernel_oracle(similarity.unit_rows(queries), similarity.unit_rows(tgt), n_t)
         # the sub-float32 rows lead the second query, highest index first
         assert oracle[1][0][:3] == [17, 16, 15]
         for k in (1, 2, 3, n_t, n_t + 2):
@@ -258,8 +258,8 @@ class TestTopkKernel:
         rng = np.random.default_rng(13)
         n_q, n_t, d = 600, 10_000, 64
         assert n_q > 3 * similarity.TILE_BYTES // (4 * n_t)  # several tiles
-        queries = similarity.unit_rows(rng.normal(size=(n_q, d)))
-        tgt = similarity.unit_rows(rng.normal(size=(n_t, d)))
+        queries = rng.normal(size=(n_q, d))
+        tgt = rng.normal(size=(n_t, d))
         for k in (1, 10):
             tracemalloc.start()
             try:
@@ -271,6 +271,61 @@ class TestTopkKernel:
             # 1.25 tiles; an argpartition of the whole tile reads about 5
             fixed = 4 * n_t * d + 16 * n_q * k
             assert peak - fixed < 2 * similarity.TILE_BYTES
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_power_of_two_row_scales_change_no_bit(self, k):
+        # a row times 2**e has the same unit row to the last bit, so the raw
+        # rows a caller passes may carry any such scale
+        rng = np.random.default_rng(14)
+        queries, tgt = rng.normal(size=(40, 16)), rng.normal(size=(300, 16))
+        idx, sims = similarity.topk(queries, tgt, k)
+        scaled_q = queries * 2.0 ** rng.integers(-40, 41, size=(40, 1))
+        scaled_t = tgt * 2.0 ** rng.integers(-40, 41, size=(300, 1))
+        for q, t in ((scaled_q, tgt), (queries, scaled_t), (scaled_q, scaled_t)):
+            got_idx, got_sims = similarity.topk(q, t, k)
+            assert np.array_equal(got_idx, idx)
+            assert got_sims.tobytes() == sims.tobytes()
+
+    def test_zero_target_row_scores_exactly_zero(self):
+        rng = np.random.default_rng(15)
+        tgt = rng.normal(size=(20, 8))
+        tgt[[4, 11]] = 0.0
+        idx, sims = similarity.topk(rng.normal(size=(6, 8)), tgt, 20)
+        for row_idx, row_sims in zip(idx, sims):
+            zero = np.isin(row_idx, [4, 11])
+            assert row_sims[zero].tolist() == [0.0, 0.0]
+            # two zero scores tie, so the lower index comes first
+            assert row_idx[zero].tolist() == [4, 11]
+
+    @pytest.mark.parametrize("tile_rows", [1, 3, None])
+    def test_batch_equals_its_raw_queries_one_at_a_time(self, monkeypatch, tile_rows):
+        rng = np.random.default_rng(16)
+        queries = rng.normal(size=(25, 12)) * rng.uniform(0.01, 100.0, size=(25, 1))
+        tgt = rng.normal(size=(400, 12)) * rng.uniform(0.01, 100.0, size=(400, 1))
+        if tile_rows is not None:
+            monkeypatch.setattr(similarity, "TILE_BYTES", tile_rows * 4 * len(tgt))
+        idx, sims = similarity.topk(queries, tgt, 7)
+        for i in range(len(queries)):
+            one_idx, one_sims = similarity.topk(queries[i:i + 1], tgt, 7)
+            assert np.array_equal(one_idx[0], idx[i])
+            assert one_sims[0].tobytes() == sims[i].tobytes()
+
+    def test_first_batch_query_holds_no_float64_copy_of_the_targets(self):
+        # the targets outweigh a tile, so a unit copy of them would show
+        n, d = 20_000, 100
+        rng = np.random.default_rng(17)
+        tgt = space_from(rng.normal(size=(n, d)))
+        src = space_from(rng.normal(size=(50, d)), prefix="s")
+        assert tgt.vectors.nbytes > 2 * similarity.TILE_BYTES
+        w = MappingMatrix(random_orthogonal(d, rng), "seeded", orthogonal=True)
+        tracemalloc.start()
+        try:
+            results = batch_query(list(src.vocab.tokens), w, src, tgt, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 50
+        assert peak < tgt.vectors.nbytes
 
 
 class TestQueryResult:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from apimap import similarity
 from apimap.adversarial import selection_criterion
 from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
@@ -146,7 +147,6 @@ class TestCosineThresholdCandidates:
         vecs = rng.normal(size=(n, d))
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs + 0.01 * rng.normal(size=(n, d)), prefix="t")
-        tgt.unit_vectors  # cached before measuring, as refine reuses it
         tracemalloc.start()
         try:
             scan = aligned_scan(np.eye(d), src, tgt)
@@ -156,6 +156,25 @@ class TestCosineThresholdCandidates:
             tracemalloc.stop()
         assert peak < n * n * 8 / 10
         assert len(rows) > n // 2
+
+    def test_scan_and_back_check_hold_one_float64_copy(self):
+        # the spaces outweigh a tile: the mapped sources are the one float64
+        # array the scan adds; a unit copy of either side would show
+        n, d = 20_000, 100
+        rng = np.random.default_rng(10)
+        src = space_from(rng.normal(size=(n, d)), prefix="s")
+        tgt = space_from(rng.normal(size=(n, d)))
+        assert src.vectors.nbytes > 2 * similarity.TILE_BYTES
+        w = random_orthogonal(d, rng)
+        tracemalloc.start()
+        try:
+            scan = aligned_scan(w, src, tgt, rows=500)
+            rows = candidates_topk_frequency(scan, tgt, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scan[1]) == 500 and rows.size <= 500
+        assert peak < 2 * src.vectors.nbytes
 
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
@@ -336,7 +355,7 @@ class TestRefine:
         real_topk = refinement.topk
 
         def recording_topk(queries, targets, kk):
-            if targets is task.tgt.unit_vectors:
+            if targets is task.tgt.vectors:
                 forward.append(len(queries))
             return real_topk(queries, targets, kk)
 
