@@ -45,8 +45,8 @@ def _add_stage_flags(p: argparse.ArgumentParser) -> None:
     d = refinement.RefineConfig
     g = p.add_argument_group("refinement stage")
     g.add_argument("--refine-topk", dest="topk", type=int, default=d.topk,
-                   help="frequent source tokens used for candidate pairs; in "
-                   "intersection mode only these can enter the dictionary")
+                   help="most frequent source tokens scanned for candidate pairs; "
+                   "in either mode only these can enter the dictionary")
     g.add_argument("--refine-threshold", dest="threshold", type=float, default=d.threshold,
                    help="cosine threshold for the similarity candidate heuristic")
     g.add_argument("--refine-mode", dest="mode", choices=["union", "intersection"],

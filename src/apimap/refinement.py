@@ -1,7 +1,7 @@
 """Iterative refinement: rebuild synthetic dictionaries, re-solve, repeat.
 
-Two heuristics pick source rows of one scan of the currently aligned spaces:
-frequent sources with a mutual nearest neighbor, and sources whose nearest
+Two heuristics pick rows of one scan of the most frequent sources under the
+current mapping: those with a mutual nearest neighbor, and those whose nearest
 neighbor is above a cosine threshold. Their combined rows, each paired with
 its nearest neighbor, feed a closed-form orthogonal re-solve; the loop keeps
 the best-scoring snapshot under the unsupervised selection criterion.
@@ -59,17 +59,17 @@ def aligned_scan(
     w: MappingMatrix | np.ndarray,
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
-    rows: int | None = None,
+    rows: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every source mapped under W, and the nearest target of each of the
-    first ``rows`` sources (all of them by default).
+    first ``rows`` sources, the most frequent ones.
 
     Returns ``(mapped, nn, best)``: ``mapped`` holds every source mapped, not
     normalized; ``nn[i]`` and ``best[i]`` are the nearest target of source i
     and their cosine, for i below ``rows``. ``topk`` gives any subset of rows
     the values it would give them alone, so a scan of the leading rows agrees
-    with the full scan on them. ``refine`` builds each dictionary from one such scan,
-    which feeds both candidate heuristics.
+    with a longer scan on them. ``refine`` builds each dictionary from one
+    scan of its first ``topk`` sources, which feeds both candidate heuristics.
     """
     mapped = src.vectors @ np.asarray(w).T
     nn, best = topk(mapped[:rows], tgt.vectors, 1)
@@ -79,29 +79,25 @@ def aligned_scan(
 def candidates_topk_frequency(
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
     tgt: EmbeddingSpace,
-    k: int,
 ) -> np.ndarray:
-    """Ascending rows i among the k most frequent sources of ``scan =
-    aligned_scan(w, src, tgt, rows)`` (only its scanned rows, if fewer) that
-    are in turn the nearest mapped source of their nearest target ``nn[i]``:
-    the mutual-neighbor filter standard for synthetic dictionaries.
+    """Ascending scanned rows i of ``scan = aligned_scan(w, src, tgt, rows)``
+    that are in turn the nearest mapped source of their nearest target
+    ``nn[i]``: the mutual-neighbor filter standard for synthetic dictionaries.
+    The scan holds only the most frequent sources, so these are frequent rows.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     mapped, nn, _ = scan
-    k = min(k, len(nn))
     # best mapped source for each chosen target, searched over all sources
-    return np.flatnonzero(topk(tgt.vectors[nn[:k]], mapped, 1)[0][:, 0] == np.arange(k))
+    return np.flatnonzero(topk(tgt.vectors[nn], mapped, 1)[0][:, 0] == np.arange(len(nn)))
 
 
 def candidates_cosine_threshold(
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
     threshold: float,
 ) -> np.ndarray:
-    """Ascending rows i of ``scan = aligned_scan(w, src, tgt, rows)`` whose
-    nearest target ``nn[i]`` has cosine at or above the threshold; only the
-    scanned rows are candidates. Not every API has a counterpart, so no row at
-    all is a legitimate outcome at high thresholds.
+    """Ascending scanned rows i of ``scan = aligned_scan(w, src, tgt, rows)``
+    whose nearest target ``nn[i]`` has cosine at or above the threshold. Not
+    every API has a counterpart, so no row at all is a legitimate outcome at
+    high thresholds.
     """
     if not 0 < threshold < 1:
         raise ValueError("threshold must be in (0, 1)")
@@ -137,11 +133,11 @@ def refine(
     The best-scoring W, the baseline included, is returned; it is always
     orthogonal. Report row 0 is the baseline's criterion.
 
-    A dictionary pairs each chosen source row i with ``nn[i]``: the frequent
-    rows that pass the threshold in intersection mode, or the frequent rows
-    and then the other threshold rows in union mode. Intersection mode ranks
-    only the first ``cfg.topk`` sources, as no chosen row is past them; union
-    mode ranks all. No W is scanned after the last solve.
+    Each scan ranks only the first ``cfg.topk`` sources, the most frequent,
+    in both modes. A dictionary pairs each chosen row i of the scan with
+    ``nn[i]``: the mutual-neighbor rows that pass the threshold in
+    intersection mode, or the rows that pass either heuristic in union mode,
+    ascending. No W is scanned after the last solve.
     """
     if w2.dim != src.dim or src.dim != tgt.dim:
         raise ValueError(
@@ -156,16 +152,13 @@ def refine(
     previous: SeedDictionary | None = None
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
-        scan = aligned_scan(w, src, tgt, cfg.topk if cfg.mode == "intersection" else None)
-        by_freq = candidates_topk_frequency(scan, tgt, cfg.topk)
+        scan = aligned_scan(w, src, tgt, cfg.topk)
+        by_freq = candidates_topk_frequency(scan, tgt)
         by_sim = candidates_cosine_threshold(scan, cfg.threshold)
         # the mapped sources need not stay resident through the solve and next scan
         nn = scan[1]
         del scan
-        if cfg.mode == "intersection":
-            rows = by_freq[np.isin(by_freq, by_sim)]
-        else:
-            rows = np.concatenate([by_freq, by_sim[~np.isin(by_sim, by_freq)]])
+        rows = (np.intersect1d if cfg.mode == "intersection" else np.union1d)(by_freq, by_sim)
         combined = SeedDictionary(
             tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in rows)
         )

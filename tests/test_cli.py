@@ -272,6 +272,22 @@ class TestAlign:
         assert loaded.stage == w.stage == "refined"
         assert np.array_equal(loaded.w, w.w)
 
+    def test_union_refine_draws_only_from_the_frequent_head(self, trained_pair):
+        report = trained_pair["dir"] / "union-report.csv"
+        code = run("align", "--src-emb", str(trained_pair["src"]),
+                   "--tgt-emb", str(trained_pair["tgt"]),
+                   "--seeds", str(trained_pair["seeds"]),
+                   "--stages", "s,r", "--out-matrix", str(trained_pair["dir"] / "w_u.txt"),
+                   "--refine-mode", "union", "--refine-topk", "40",
+                   "--refine-report", str(report), "--seed", "3")
+        assert code == 0
+        with open(report, newline="") as fh:
+            candidates = [int(r[1]) for r in list(csv.reader(fh))[1:]]
+        # 120 sources a side, nearly all above the threshold: only the 40
+        # most frequent can enter a union dictionary
+        assert len(candidates) >= 2 and candidates[0] == 0
+        assert 0 < max(candidates) <= 40
+
     def test_dimension_mismatch_exits_2(self, trained_pair, tmp_path):
         from apimap.corpus import Vocabulary
         from apimap.embedding import EmbeddingSpace, save_space

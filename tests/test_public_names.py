@@ -28,7 +28,6 @@ TEST_ONLY_DEFAULTS = {
     "adversarial.mapping_gradient.smoothing":
         "the unsmoothed loss is the textbook one the loss and gradient tests check",
     "corpus.load_signature_table.keywords_path": "a table needs no keyword list",
-    "refinement.aligned_scan.rows": "a scan of every source is the reference",
     "refinement.refine.report": "the report is optional output",
 }
 

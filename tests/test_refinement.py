@@ -83,13 +83,13 @@ class TestTopkFrequencyCandidates:
         vecs = rng.normal(size=(30, 8))
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs, prefix="t")
-        scan = aligned_scan(np.eye(8), src, tgt)
-        rows = candidates_topk_frequency(scan, tgt, k=10)
+        scan = aligned_scan(np.eye(8), src, tgt, rows=10)
+        rows = candidates_topk_frequency(scan, tgt)
         assert rows.tolist() == list(range(10))
         assert scan[1][rows].tolist() == list(range(10))
         # a scan of the leading rows offers only the sources it scanned
         short = aligned_scan(np.eye(8), src, tgt, rows=4)
-        kept = candidates_topk_frequency(short, tgt, k=10)
+        kept = candidates_topk_frequency(short, tgt)
         assert kept.tolist() == rows[:4].tolist()
 
     def test_default_k_is_500(self):
@@ -103,16 +103,16 @@ class TestTopkFrequencyCandidates:
         tgt = space_from(vecs[perm], prefix="t")
         # brute-force expectation: source i sits at target row argwhere(perm == i)
         expected = {(i, int(np.flatnonzero(perm == i)[0])) for i in range(12)}
-        scan = aligned_scan(np.eye(10), src, tgt)
-        rows = candidates_topk_frequency(scan, tgt, k=12)
+        scan = aligned_scan(np.eye(10), src, tgt, rows=12)
+        rows = candidates_topk_frequency(scan, tgt)
         assert {(int(i), int(scan[1][i])) for i in rows} == expected
 
     def test_mutual_filter_drops_contested_targets(self):
         # two sources share the same nearest target; only the reciprocal wins
         src = space_from([[1.0, 0.0], [0.9, 0.1]], prefix="s")
         tgt = space_from([[1.0, 0.0]], prefix="t")
-        scan = aligned_scan(np.eye(2), src, tgt)
-        kept = candidates_topk_frequency(scan, tgt, k=2)
+        scan = aligned_scan(np.eye(2), src, tgt, rows=2)
+        kept = candidates_topk_frequency(scan, tgt)
         assert kept.tolist() == [0] and scan[1][0] == 0
 
 
@@ -125,7 +125,7 @@ class TestCosineThresholdCandidates:
         src = space_from(rng.normal(size=(40, 12)), prefix="s")
         tgt = space_from(rng.normal(size=(40, 12)), prefix="t")
         w = random_orthogonal(12, rng)
-        rows = candidates_cosine_threshold(aligned_scan(w, src, tgt), threshold=0.999)
+        rows = candidates_cosine_threshold(aligned_scan(w, src, tgt, rows=40), threshold=0.999)
         assert len(rows) <= 1
 
     def test_separates_aligned_from_unaligned(self):
@@ -135,7 +135,7 @@ class TestCosineThresholdCandidates:
             prefix="s",
         )
         tgt = space_from(aligned, prefix="t")
-        scan = aligned_scan(np.eye(3), src, tgt)
+        scan = aligned_scan(np.eye(3), src, tgt, rows=6)
         rows = candidates_cosine_threshold(scan, threshold=0.95)
         assert rows.tolist() == [0, 1, 2]
         assert scan[1][rows].tolist() == [0, 1, 2]
@@ -149,7 +149,7 @@ class TestCosineThresholdCandidates:
         tgt = space_from(vecs + 0.01 * rng.normal(size=(n, d)), prefix="t")
         tracemalloc.start()
         try:
-            scan = aligned_scan(np.eye(d), src, tgt)
+            scan = aligned_scan(np.eye(d), src, tgt, rows=n)
             rows = candidates_cosine_threshold(scan, threshold=0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -169,7 +169,7 @@ class TestCosineThresholdCandidates:
         tracemalloc.start()
         try:
             scan = aligned_scan(w, src, tgt, rows=500)
-            rows = candidates_topk_frequency(scan, tgt, 500)
+            rows = candidates_topk_frequency(scan, tgt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -179,7 +179,7 @@ class TestCosineThresholdCandidates:
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            candidates_cosine_threshold(aligned_scan(np.eye(2), src, src), threshold=1.0)
+            candidates_cosine_threshold(aligned_scan(np.eye(2), src, src, rows=1), threshold=1.0)
 
 
 class TestRefineConfig:
@@ -278,8 +278,8 @@ class TestRefine:
         monkeypatch.undo()
         # each iteration's rows are what the public heuristics give for its W
         for w, by_freq, by_sim in zip(seen[0::3], seen[1::3], seen[2::3]):
-            scan = aligned_scan(w, task.src, task.tgt)
-            assert by_freq.tolist() == candidates_topk_frequency(scan, task.tgt, 100).tolist()
+            scan = aligned_scan(w, task.src, task.tgt, rows=100)
+            assert by_freq.tolist() == candidates_topk_frequency(scan, task.tgt).tolist()
             assert by_sim.tolist() == candidates_cosine_threshold(scan, 0.7).tolist()
 
     def test_dictionary_is_chosen_rows_each_with_its_nearest_target(self, monkeypatch):
@@ -310,38 +310,19 @@ class TestRefine:
             monkeypatch.undo()
             assert len(solved_on) == len(scanned) >= 2
             for w, seeds in zip(scanned, solved_on):
-                scan = aligned_scan(w, src, tgt)
-                by_freq = candidates_topk_frequency(scan, tgt, 200).tolist()
+                scan = aligned_scan(w, src, tgt, rows=200)
+                by_freq = candidates_topk_frequency(scan, tgt).tolist()
                 by_sim = candidates_cosine_threshold(scan, 0.6).tolist()
                 if mode == "intersection":
                     rows = sorted(set(by_freq) & set(by_sim))
                 else:
-                    rows = by_freq + sorted(set(by_sim) - set(by_freq))
+                    rows = np.union1d(by_freq, by_sim).tolist()
                 assert list(seeds) == [
                     (src.vocab.tokens[i], tgt.vocab.tokens[scan[1][i]]) for i in rows]
                 sources = [s for s, _ in seeds]
                 assert len(sources) == len(set(sources))
             first[mode] = len(solved_on[0])
         assert first["union"] > first["intersection"] > 0
-
-    @pytest.mark.parametrize("k", [100, 480, 1000])
-    def test_intersection_equals_refine_over_a_full_scan(self, monkeypatch, k):
-        from apimap import refinement
-
-        task, w2 = decoy_task_and_start()
-        assert len(task.src) == 480
-        cfg = RefineConfig(topk=k, threshold=0.6, mode="intersection", max_iters=4,
-                           patience=4, selection_topk=300)
-        shipped_report, full_report = [], []
-        shipped = refine(w2, task.src, task.tgt, cfg, shipped_report)
-        real_scan = refinement.aligned_scan
-        monkeypatch.setattr(refinement, "aligned_scan",
-                            lambda w, src, tgt, rows=None: real_scan(w, src, tgt))
-        full = refine(w2, task.src, task.tgt, cfg, full_report)
-        assert len(shipped_report) >= 3
-        assert all(step.candidates > 0 for step in shipped_report[1:])
-        assert shipped.w.tobytes() == full.w.tobytes()
-        assert shipped_report == full_report
 
     @pytest.mark.parametrize("mode", ["intersection", "union"])
     @pytest.mark.parametrize("k", [100, 1000])
@@ -351,23 +332,30 @@ class TestRefine:
         task, w2 = decoy_task_and_start()
         cfg = RefineConfig(topk=k, threshold=0.6, mode=mode, max_iters=3,
                            patience=3, selection_topk=300)
-        forward = []
-        real_topk = refinement.topk
+        forward, solved_on = [], []
+        real_topk, real_seed = refinement.topk, refinement.seed_matrices
 
         def recording_topk(queries, targets, kk):
             if targets is task.tgt.vectors:
                 forward.append(len(queries))
             return real_topk(queries, targets, kk)
 
+        def recording_seed(seeds, *rest):
+            solved_on.append(seeds)
+            return real_seed(seeds, *rest)
+
         monkeypatch.setattr(refinement, "topk", recording_topk)
+        monkeypatch.setattr(refinement, "seed_matrices", recording_seed)
         report = []
         refine(w2, task.src, task.tgt, cfg, report)
         n = len(task.src)
-        # intersection ranks only the sources that can enter it; one forward
-        # scan per dictionary, built from the input and then each solved W
-        expected = min(k, n) if mode == "intersection" else n
+        # both modes rank only the first topk sources, the ones that can enter;
+        # one forward scan per dictionary, built from the input and then each solved W
         assert len(report) == cfg.max_iters + 1
-        assert forward == [expected] * cfg.max_iters
+        assert forward == [min(k, n)] * cfg.max_iters
+        row = {token: i for i, token in enumerate(task.src.vocab.tokens)}
+        assert len(solved_on) == cfg.max_iters
+        assert all(row[s] < k for seeds in solved_on for s, _ in seeds)
 
     @pytest.mark.parametrize("mode", ["intersection", "union"])
     def test_each_w_is_scanned_once(self, monkeypatch, mode):
@@ -383,7 +371,7 @@ class TestRefine:
             w.tobytes() for w in [nearest_orthogonal(w2.w), *solved]]
 
     def test_union_loop_ending_on_patience_scans_no_w_after_its_last_solve(self, monkeypatch):
-        cfg = RefineConfig(topk=100, threshold=0.8, mode="union", max_iters=5,
+        cfg = RefineConfig(topk=300, threshold=0.8, mode="union", max_iters=5,
                            patience=1, selection_topk=300)
         _, w2, report, scanned, solved, _ = record_refine(monkeypatch, cfg)
         # the loop ended on patience: its last solved W did not beat the best
