@@ -4,7 +4,9 @@ Two heuristics pick rows of one scan of the most frequent sources under the
 current mapping: those with a mutual nearest neighbor, and those whose nearest
 neighbor is above a cosine threshold. Their combined rows, each paired with
 its nearest neighbor, feed a closed-form orthogonal re-solve; the loop keeps
-the best-scoring snapshot under the unsupervised selection criterion.
+the best-scoring snapshot under the unsupervised selection criterion. No
+stage holds every source mapped at once: the scan maps only the sources it
+ranks, and the mutual back-check maps every source one block at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import similarity
 from .adversarial import selection_criterion
 from .embedding import EmbeddingSpace
 from .seeding import (
@@ -61,33 +64,48 @@ def aligned_scan(
     tgt: EmbeddingSpace,
     rows: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every source mapped under W, and the nearest target of each of the
-    first ``rows`` sources, the most frequent ones.
+    """The nearest target of each of the first ``rows`` sources, the most
+    frequent ones, mapped under W.
 
-    Returns ``(mapped, nn, best)``: ``mapped`` holds every source mapped, not
-    normalized; ``nn[i]`` and ``best[i]`` are the nearest target of source i
-    and their cosine, for i below ``rows``. ``topk`` gives any subset of rows
-    the values it would give them alone, so a scan of the leading rows agrees
-    with a longer scan on them. ``refine`` builds each dictionary from one
-    scan of its first ``topk`` sources, which feeds both candidate heuristics.
+    Returns ``(W, nn, best)``: ``W`` is the d x d array scanned; ``nn[i]`` and
+    ``best[i]`` are the nearest target of source i and their cosine, for i
+    below ``rows``. Only those sources are mapped. ``topk`` gives any subset
+    of rows the values it would give them alone, so a scan of the leading rows
+    agrees with a longer scan on them. ``refine`` builds each dictionary from
+    one scan of its first ``topk`` sources, which feeds both candidate
+    heuristics.
     """
-    mapped = src.vectors @ np.asarray(w).T
-    nn, best = topk(mapped[:rows], tgt.vectors, 1)
-    return mapped, nn[:, 0], best[:, 0]
+    w = np.asarray(w)
+    nn, best = topk(src.vectors[:rows] @ w.T, tgt.vectors, 1)
+    return w, nn[:, 0], best[:, 0]
 
 
 def candidates_topk_frequency(
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    src: EmbeddingSpace,
     tgt: EmbeddingSpace,
 ) -> np.ndarray:
     """Ascending scanned rows i of ``scan = aligned_scan(w, src, tgt, rows)``
     that are in turn the nearest mapped source of their nearest target
     ``nn[i]``: the mutual-neighbor filter standard for synthetic dictionaries.
     The scan holds only the most frequent sources, so these are frequent rows.
+
+    The back-check searches every source, mapped under W in blocks of
+    ``similarity.TILE_BYTES`` float64 bytes, and keeps each target's best
+    source over the blocks. A tie keeps the earlier block, so the lower source
+    index wins, as within one ``topk`` call.
     """
-    mapped, nn, _ = scan
-    # best mapped source for each chosen target, searched over all sources
-    return np.flatnonzero(topk(tgt.vectors[nn], mapped, 1)[0][:, 0] == np.arange(len(nn)))
+    w, nn, _ = scan
+    chosen = tgt.vectors[nn]
+    owner = np.zeros(len(nn), dtype=np.int64)
+    top = np.full(len(nn), -np.inf)
+    step = max(1, similarity.TILE_BYTES // (8 * src.dim))
+    for lo in range(0, len(src), step):
+        idx, sims = topk(chosen, src.vectors[lo:lo + step] @ w.T, 1)
+        better = sims[:, 0] > top
+        owner[better] = lo + idx[better, 0]
+        top[better] = sims[better, 0]
+    return np.flatnonzero(owner == np.arange(len(nn)))
 
 
 def candidates_cosine_threshold(
@@ -153,11 +171,9 @@ def refine(
     stalled = 0
     for iteration in range(1, cfg.max_iters + 1):
         scan = aligned_scan(w, src, tgt, cfg.topk)
-        by_freq = candidates_topk_frequency(scan, tgt)
+        by_freq = candidates_topk_frequency(scan, src, tgt)
         by_sim = candidates_cosine_threshold(scan, cfg.threshold)
-        # the mapped sources need not stay resident through the solve and next scan
         nn = scan[1]
-        del scan
         rows = (np.intersect1d if cfg.mode == "intersection" else np.union1d)(by_freq, by_sim)
         combined = SeedDictionary(
             tuple((src.vocab.tokens[i], tgt.vocab.tokens[nn[i]]) for i in rows)

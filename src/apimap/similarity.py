@@ -10,9 +10,9 @@ candidate, and the candidates' similarities are recomputed in float64 by a
 row-wise multiply-sum. The true top k are always among the candidates, and a
 recomputed value depends only on its two rows, so a query gets the same
 neighbors and similarities whichever batch or tile it is in. Besides its
-inputs, a call holds one float32 unit copy of the targets plus one tile, and
-no float64 copy of either side: memory is O(n_targets x d + tile x
-n_targets), never O(n_queries x n_targets).
+inputs, a call holds one float32 unit copy of the targets, one norm per
+target and one tile, and no float64 copy of either side: memory is
+O(n_targets x d + tile x n_targets), never O(n_queries x n_targets).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 # bytes of the float32 similarity block ranked at once (query rows x targets)
 TILE_BYTES = 1 << 22
 # bytes of each block of float64 rows normalized at once: target rows for their
-# float32 copy in ``topk``, and gathered rows in ``pair_sims``
+# norms and float32 copy in ``topk``, and gathered rows in ``pair_sims``
 GATHER_BYTES = 1 << 18
 
 
@@ -33,10 +33,14 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.where(norms > 0, norms, 1.0)
 
 
-def pair_sims(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """``a[ia[n]] . unit(b[ib[n]])`` for each n, by a row-wise multiply-sum.
+def pair_sims(
+    a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray, b_norms: np.ndarray
+) -> np.ndarray:
+    """``a[ia[n]] . b[ib[n]] / b_norms[ib[n]]`` for each n, by a row-wise
+    multiply-sum.
 
-    The gathered rows of ``b`` are normalized as they are gathered. Each value
+    ``b_norms`` holds the norm of each row of ``b``, with 1.0 for a zero row,
+    so a gathered row is divided as ``unit_rows`` would scale it. Each value
     depends only on its two rows, not on which other pairs are computed
     alongside it.
     """
@@ -44,7 +48,7 @@ def pair_sims(a: np.ndarray, b: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> n
     step = max(1, GATHER_BYTES // (8 * a.shape[1]))
     for lo in range(0, len(ia), step):
         sl = slice(lo, lo + step)
-        out[sl] = np.einsum("ij,ij->i", a[ia[sl]], unit_rows(b[ib[sl]]))
+        out[sl] = np.einsum("ij,ij->i", a[ia[sl]], b[ib[sl]] / b_norms[ib[sl], None])
     return out
 
 
@@ -75,10 +79,16 @@ def topk(
     # within twice that of the float32 k-th best. The margin doubles it again
     # to cover the float32 rounding of the threshold itself.
     margin = (targets.shape[1] + 2) * 2.0**-21
+    # each target row's norm, once per call: it scales the row for the float32
+    # copy here and again wherever pair_sims gathers it
+    norms = np.empty(n_t)
     tgt32 = np.empty(targets.shape, dtype=np.float32)
     step = max(1, GATHER_BYTES // (8 * targets.shape[1]))
     for lo in range(0, n_t, step):
-        tgt32[lo:lo + step] = unit_rows(targets[lo:lo + step])
+        chunk = np.asarray(targets[lo:lo + step], dtype=np.float64)
+        norm = np.linalg.norm(chunk, axis=1)
+        norms[lo:lo + step] = np.where(norm > 0, norm, 1.0)
+        tgt32[lo:lo + step] = chunk / norms[lo:lo + step, None]
     rows = max(1, TILE_BYTES // (4 * n_t))
     pick = np.arange(k)
     for lo in range(0, n_q, rows):
@@ -90,7 +100,7 @@ def topk(
             [np.partition(row, n_t - k)[n_t - k] for row in block])
         r, c = np.divmod(np.flatnonzero(block >= (kth - margin)[:, None]), n_t)
         del block
-        exact = pair_sims(q, targets, r, c)
+        exact = pair_sims(q, targets, r, c, norms)
         order = np.lexsort((c, -exact, r))
         # after the sort each row's candidates are contiguous, at least k of them
         starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=len(q)))[:-1]))

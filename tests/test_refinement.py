@@ -24,6 +24,7 @@ from apimap.seeding import (
     seed_matrices,
     solve_procrustes,
 )
+from apimap.similarity import unit_rows
 
 from conftest import refine_config
 from helpers import make_paired_task, oracle_top1
@@ -44,6 +45,25 @@ def decoy_task_and_start():
     w = w + 0.2 * np.random.default_rng(0).normal(size=w.shape)
     assert not np.allclose(w.T @ w, np.eye(12))
     return task, MappingMatrix(w, "adversarial", orthogonal=False)
+
+
+def mutual_oracle(scan, src, tgt):
+    """Brute-force back-check of ``scan = aligned_scan(w, src, tgt, rows)``:
+    the scanned rows i that are the most similar of every mapped source to
+    ``nn[i]``, the lower index winning a tie; and whether any such maximum
+    was tied."""
+    w, nn, _ = scan
+    sims = np.einsum("jd,id->ji", unit_rows(tgt.vectors[nn]), unit_rows(src.vectors @ w.T))
+    tied = ((sims == sims.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+    return np.flatnonzero(sims.argmax(axis=1) == np.arange(len(nn))), tied
+
+
+def with_duplicates(space, pairs):
+    """``space`` with row ``hi`` set to a copy of row ``lo`` for each pair."""
+    vectors = space.vectors.copy()
+    for lo, hi in pairs:
+        vectors[hi] = vectors[lo]
+    return EmbeddingSpace(vectors, space.vocab)
 
 
 def record_refine(monkeypatch, cfg):
@@ -84,12 +104,12 @@ class TestTopkFrequencyCandidates:
         src = space_from(vecs, prefix="s")
         tgt = space_from(vecs, prefix="t")
         scan = aligned_scan(np.eye(8), src, tgt, rows=10)
-        rows = candidates_topk_frequency(scan, tgt)
+        rows = candidates_topk_frequency(scan, src, tgt)
         assert rows.tolist() == list(range(10))
         assert scan[1][rows].tolist() == list(range(10))
         # a scan of the leading rows offers only the sources it scanned
         short = aligned_scan(np.eye(8), src, tgt, rows=4)
-        kept = candidates_topk_frequency(short, tgt)
+        kept = candidates_topk_frequency(short, src, tgt)
         assert kept.tolist() == rows[:4].tolist()
 
     def test_default_k_is_500(self):
@@ -104,7 +124,7 @@ class TestTopkFrequencyCandidates:
         # brute-force expectation: source i sits at target row argwhere(perm == i)
         expected = {(i, int(np.flatnonzero(perm == i)[0])) for i in range(12)}
         scan = aligned_scan(np.eye(10), src, tgt, rows=12)
-        rows = candidates_topk_frequency(scan, tgt)
+        rows = candidates_topk_frequency(scan, src, tgt)
         assert {(int(i), int(scan[1][i])) for i in rows} == expected
 
     def test_mutual_filter_drops_contested_targets(self):
@@ -112,8 +132,53 @@ class TestTopkFrequencyCandidates:
         src = space_from([[1.0, 0.0], [0.9, 0.1]], prefix="s")
         tgt = space_from([[1.0, 0.0]], prefix="t")
         scan = aligned_scan(np.eye(2), src, tgt, rows=2)
-        kept = candidates_topk_frequency(scan, tgt)
+        kept = candidates_topk_frequency(scan, src, tgt)
         assert kept.tolist() == [0] and scan[1][0] == 0
+
+    def test_blockwise_back_check_matches_brute_force_ties_included(self, monkeypatch):
+        # four float64 rows of d=8 per block: rows 3 and 4 straddle the first
+        # boundary, 1 and 9 lie two blocks apart, and 21 copies 6 unscanned
+        monkeypatch.setattr(similarity, "TILE_BYTES", 4 * 8 * 8)
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(40, 8))
+        w = random_orthogonal(8, rng)
+        src = with_duplicates(space_from(vecs, prefix="s"), [(3, 4), (1, 9), (6, 21)])
+        tgt = space_from(vecs @ w.T + 0.01 * rng.normal(size=(40, 8)))
+        scan = aligned_scan(w, src, tgt, rows=10)
+        rows = candidates_topk_frequency(scan, src, tgt)
+        expected, tied = mutual_oracle(scan, src, tgt)
+        assert tied
+        assert rows.tolist() == expected.tolist()
+        # each copy shares its original's nearest target, and the lower index wins
+        assert scan[1][4] == scan[1][3] and scan[1][9] == scan[1][1]
+        assert {1, 3, 6} <= set(rows.tolist()) and not {4, 9} & set(rows.tolist())
+
+    @pytest.mark.parametrize("mode", ["intersection", "union"])
+    def test_refine_back_checks_match_brute_force(self, monkeypatch, mode):
+        from apimap import refinement
+
+        # sixteen float64 rows of d=12 per block, and copies across its boundaries
+        monkeypatch.setattr(similarity, "TILE_BYTES", 16 * 8 * 12)
+        task, w2 = decoy_task_and_start()
+        src = with_duplicates(task.src, [(15, 16), (31, 32), (40, 63), (5, 300)])
+        checked = []
+        real = refinement.candidates_topk_frequency
+
+        def recording(scan, *rest):
+            checked.append((scan, real(scan, *rest)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(refinement, "candidates_topk_frequency", recording)
+        cfg = RefineConfig(topk=200, threshold=0.6, mode=mode, max_iters=3,
+                           patience=3, selection_topk=300)
+        refine(w2, src, task.tgt, cfg)
+        assert len(checked) >= 2
+        ties = []
+        for scan, rows in checked:
+            expected, tied = mutual_oracle(scan, src, task.tgt)
+            assert rows.tolist() == expected.tolist()
+            ties.append(tied)
+        assert all(ties)
 
 
 class TestCosineThresholdCandidates:
@@ -158,8 +223,9 @@ class TestCosineThresholdCandidates:
         assert len(rows) > n // 2
 
     def test_scan_and_back_check_hold_one_float64_copy(self):
-        # the spaces outweigh a tile: the mapped sources are the one float64
-        # array the scan adds; a unit copy of either side would show
+        # the spaces outweigh a tile: the scan maps only the sources it ranks
+        # and the back-check one block of them at a time, so a float64 copy of
+        # either side, mapped or unit, would show
         n, d = 20_000, 100
         rng = np.random.default_rng(10)
         src = space_from(rng.normal(size=(n, d)), prefix="s")
@@ -169,12 +235,28 @@ class TestCosineThresholdCandidates:
         tracemalloc.start()
         try:
             scan = aligned_scan(w, src, tgt, rows=500)
-            rows = candidates_topk_frequency(scan, tgt)
+            rows = candidates_topk_frequency(scan, src, tgt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(scan[1]) == 500 and rows.size <= 500
         assert peak < 2 * src.vectors.nbytes
+
+    def test_back_check_peaks_below_one_float64_copy_of_the_sources(self):
+        # no mapped copy of every source: the targets' float32 copy in the
+        # forward scan, one tile and one mapped block stay under 16 MB
+        n, d = 20_000, 100
+        rng = np.random.default_rng(10)
+        src = space_from(rng.normal(size=(n, d)), prefix="s")
+        tgt = space_from(rng.normal(size=(n, d)))
+        w = random_orthogonal(d, rng)
+        tracemalloc.start()
+        try:
+            candidates_topk_frequency(aligned_scan(w, src, tgt, rows=500), src, tgt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < src.vectors.nbytes
 
     def test_threshold_validation(self):
         src = space_from([[1.0, 0.0]])
@@ -279,7 +361,7 @@ class TestRefine:
         # each iteration's rows are what the public heuristics give for its W
         for w, by_freq, by_sim in zip(seen[0::3], seen[1::3], seen[2::3]):
             scan = aligned_scan(w, task.src, task.tgt, rows=100)
-            assert by_freq.tolist() == candidates_topk_frequency(scan, task.tgt).tolist()
+            assert by_freq.tolist() == candidates_topk_frequency(scan, task.src, task.tgt).tolist()
             assert by_sim.tolist() == candidates_cosine_threshold(scan, 0.7).tolist()
 
     def test_dictionary_is_chosen_rows_each_with_its_nearest_target(self, monkeypatch):
@@ -311,7 +393,7 @@ class TestRefine:
             assert len(solved_on) == len(scanned) >= 2
             for w, seeds in zip(scanned, solved_on):
                 scan = aligned_scan(w, src, tgt, rows=200)
-                by_freq = candidates_topk_frequency(scan, tgt).tolist()
+                by_freq = candidates_topk_frequency(scan, src, tgt).tolist()
                 by_sim = candidates_cosine_threshold(scan, 0.6).tolist()
                 if mode == "intersection":
                     rows = sorted(set(by_freq) & set(by_sim))
