@@ -73,20 +73,25 @@ class _StepBuffers:
     """Work arrays of one batch shape, overwritten by every pass over that shape.
 
     Rows are the mapped sources first, then the targets; ``a`` and ``s`` are a
-    layer's activations and its leaky-rectifier slopes (exactly 1.0 or
-    LEAKY_SLOPE), so ``a = z * s`` and the backward pass multiplies by ``s``.
-    ``side`` holds each row's side size, the divisor of its per-side mean.
+    layer's activations and its leaky-rectifier slopes (1.0 or LEAKY_SLOPE in
+    the discriminator's dtype), so ``a = z * s`` and the backward pass
+    multiplies by ``s``. ``side`` holds each row's side size, the divisor of
+    its per-side mean. Every array is in the discriminator's dtype except
+    ``draw``, the float64 uniforms that dropout compares into ``mask``, so the
+    generator's stream does not depend on that dtype. ``d_input`` has the
+    source rows only: the mapping gradient reads no other.
     """
 
-    def __init__(self, n_src: int, n_tgt: int, dim: int, hidden: int):
+    def __init__(self, n_src: int, n_tgt: int, dim: int, hidden: int, dtype: np.dtype):
         n = n_src + n_tgt
         self.shape = (n_src, n_tgt)
-        self.v = np.empty((n, dim))  # network input, scaled in place by dropout
-        self.mask = np.empty((n, dim))  # dropout scale: 0 or 1 / (1 - p)
+        self.v = np.empty((n, dim), dtype)  # network input, scaled in place by dropout
+        self.draw = np.empty((n, dim))
+        self.mask = np.empty((n, dim), dtype)  # dropout scale: 0 or 1 / (1 - p)
         self.a1, self.s1, self.a2, self.s2, self.dz2, self.dz1 = (
-            np.empty((n, hidden)) for _ in range(6))
-        self.side = np.repeat(np.array([n_src, n_tgt], dtype=np.float64), [n_src, n_tgt])
-        self.d_input = np.empty((n, dim))
+            np.empty((n, hidden), dtype) for _ in range(6))
+        self.side = np.repeat(np.array([n_src, n_tgt], dtype=dtype), [n_src, n_tgt])
+        self.d_input = np.empty((n_src, dim), dtype)
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -101,7 +106,7 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 class Discriminator:
     """Two-hidden-layer leaky-rectifier MLP emitting P(vector is mapped source).
 
-    The six parameters live in one flat float64 array, ``flat_params``;
+    The six parameters live in one flat array of ``dtype``, ``flat_params``;
     ``params`` (and its ``weights``/``biases`` split) are views into it, so an
     in-place write such as ``disc.weights[0][:] = 0`` changes the parameters
     that train, and the optimizer updates all of them in one operation.
@@ -111,14 +116,21 @@ class Discriminator:
     (rows x dim) and (rows x hidden) arrays of both passes are kept for the
     latest batch shape; the per-row arrays (probabilities, targets, losses,
     logit gradients) are new on every call.
+
+    Every array of the network is in ``dtype``: float32 trains, as in Conneau
+    et al. 2018, at about half the cost of float64. The initial parameters
+    are drawn in float64 and stored in ``dtype``, and the mapping W, its
+    input and its gradient stay float64. The finite-difference checks build a
+    float64 discriminator to run the same code at a precision they can read.
     """
 
-    def __init__(self, dim: int, hidden: int, input_dropout: float, rng: np.random.Generator):
+    def __init__(self, dim: int, hidden: int, input_dropout: float, rng: np.random.Generator,
+                 dtype: np.dtype = np.float32):
         self.input_dropout = input_dropout
         shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden,), (1, hidden), (1,)]
         size = sum(math.prod(shape) for shape in shapes)
-        self.flat_params = np.empty(size)
-        self.flat_grads = np.zeros(size)
+        self.flat_params = np.empty(size, dtype)
+        self.flat_grads = np.zeros(size, dtype)
         self.params = _views(self.flat_params, shapes)
         self.grads = _views(self.flat_grads, shapes)
         self.weights = self.params[0::2]
@@ -137,13 +149,14 @@ class Discriminator:
         buf = self._buf
         if buf is None or buf.shape != (n_src, y.shape[0]):
             hidden, dim = self.weights[0].shape
-            buf = self._buf = _StepBuffers(n_src, y.shape[0], dim, hidden)
+            buf = self._buf = _StepBuffers(n_src, y.shape[0], dim, hidden,
+                                           self.flat_params.dtype)
         v = buf.v
-        np.matmul(x, m.T, out=v[:n_src])
+        v[:n_src] = x @ m.T  # mapped in float64, then stored in v's dtype
         v[n_src:] = y
         if dropout_rng is not None and self.input_dropout > 0:
-            dropout_rng.random(out=buf.mask)
-            np.greater_equal(buf.mask, self.input_dropout, out=buf.mask)
+            dropout_rng.random(out=buf.draw)
+            np.greater_equal(buf.draw, self.input_dropout, out=buf.mask)
             buf.mask /= 1.0 - self.input_dropout
             v *= buf.mask
         a_in = v
@@ -159,13 +172,15 @@ class Discriminator:
         logits = (a_in @ self.weights[2].T)[:, 0]
         return buf, 1.0 / (1.0 + np.exp(-(logits + self.biases[2])))
 
-    def _backward(self, buf: _StepBuffers, dz3: np.ndarray) -> None:
-        """Backpropagate the logits' gradient ``dz3`` to both hidden layers'
-        pre-activations (``buf.dz2``, ``buf.dz1``), all rows."""
-        dz2 = np.matmul(dz3[:, None], self.weights[2], out=buf.dz2)
-        dz2 *= buf.s2
-        dz1 = np.matmul(dz2, self.weights[1], out=buf.dz1)
-        dz1 *= buf.s1
+    def _backward(self, buf: _StepBuffers, dz3: np.ndarray, rows: int) -> np.ndarray:
+        """Backpropagate the logits' gradient ``dz3`` of the first ``rows`` rows
+        to both hidden layers' pre-activations; returns those rows of
+        ``buf.dz1`` (``buf.dz2`` holds the same rows of its layer)."""
+        dz2 = np.multiply(dz3[:rows, None], self.weights[2], out=buf.dz2[:rows])
+        dz2 *= buf.s2[:rows]
+        dz1 = np.matmul(dz2, self.weights[1], out=buf.dz1[:rows])
+        dz1 *= buf.s1[:rows]
+        return dz1
 
     def _param_grads(self, buf: _StepBuffers, dz3: np.ndarray) -> None:
         """Parameter gradients into ``flat_grads``, after ``_backward``."""
@@ -198,7 +213,7 @@ def _two_sided_loss(
     if n_src == 0 or y.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     buf, probs = disc._forward(np.asarray(w), x, y, dropout_rng)
-    t = np.full(probs.shape, target_real)
+    t = np.full(probs.shape, target_real, dtype=probs.dtype)
     t[:n_src] = target_mapped
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     nll = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
@@ -227,7 +242,7 @@ def discriminator_gradients(
     loss, buf, probs, dz3 = _two_sided_loss(
         disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, dropout_rng
     )
-    disc._backward(buf, dz3)
+    disc._backward(buf, dz3, len(dz3))
     disc._param_grads(buf, dz3)
     return loss, disc.grads, probs
 
@@ -242,19 +257,18 @@ def mapping_gradient(
     """Mapping objective, the discriminator's with flipped labels, and its
     gradient with respect to W.
 
-    The discriminator runs without dropout. Returns (loss, d_w); ``d_w`` is a
-    new array that later calls leave alone. The discriminator's parameter
-    gradients are not computed, and ``disc.flat_grads`` is untouched.
+    The discriminator runs without dropout, and only the source rows are
+    backpropagated: W's gradient reads no other. Returns (loss, d_w); ``d_w``
+    is a new float64 array that later calls leave alone. The discriminator's
+    parameter gradients are not computed, and ``disc.flat_grads`` is untouched.
     """
     loss, buf, _, dz3 = _two_sided_loss(
         disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None
     )
-    disc._backward(buf, dz3)
-    # W's gradient reads only the source rows, but every row is run: a row of
-    # a matrix product can round differently when computed among fewer rows
     x = np.atleast_2d(x_batch)
-    d_input = np.matmul(buf.dz1, disc.weights[0], out=buf.d_input)
-    return loss, d_input[:x.shape[0]].T @ x
+    dz1 = disc._backward(buf, dz3, x.shape[0])
+    d_input = np.matmul(dz1, disc.weights[0], out=buf.d_input)
+    return loss, d_input.T.astype(np.float64) @ x
 
 
 def selection_criterion(

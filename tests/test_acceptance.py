@@ -87,7 +87,7 @@ def test_criterion_03_adversarial_gradient_correctness():
     eps = 1e-5
     worst = 0.0
     for trial in range(3):
-        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng)
+        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(5, 5)) * 0.4
         x = rng.normal(size=(2, 5))
         y = rng.normal(size=(2, 5))

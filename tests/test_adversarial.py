@@ -36,8 +36,10 @@ def zeroed_discriminator(dim, hidden=4):
 
 
 def passthrough_discriminator():
-    """1-d discriminator computing sigmoid(v) for v > 0, sigmoid(0.04 v) below."""
-    disc = Discriminator(1, hidden=1, input_dropout=0.0, rng=np.random.default_rng(0))
+    """1-d discriminator computing sigmoid(v) for v > 0, sigmoid(0.04 v) below,
+    in float64 so the hand-computed losses can be read to 1e-9."""
+    disc = Discriminator(1, hidden=1, input_dropout=0.0, rng=np.random.default_rng(0),
+                         dtype=np.float64)
     for w in disc.weights:
         w[:] = 1.0
     for b in disc.biases:
@@ -118,7 +120,7 @@ class TestGradientChecks:
 
     def test_discriminator_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
-        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng)
+        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(5, 5)) * 0.4
         x = rng.normal(size=(2, 5))
         y = rng.normal(size=(2, 5))
@@ -139,7 +141,7 @@ class TestGradientChecks:
 
     def test_mapping_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng)
+        disc = Discriminator(5, hidden=6, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(5, 5)) * 0.4
         x = rng.normal(size=(2, 5))
         y = rng.normal(size=(2, 5))
@@ -157,7 +159,7 @@ class TestGradientChecks:
 
     def test_single_map_step_decreases_loss_for_small_lr(self):
         rng = np.random.default_rng(3)
-        disc = Discriminator(6, hidden=8, input_dropout=0.0, rng=rng)
+        disc = Discriminator(6, hidden=8, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(6, 6)) * 0.5
         x = rng.normal(size=(8, 6))
         y = rng.normal(size=(8, 6))
@@ -172,9 +174,11 @@ class TestGradientChecks:
 
 class TestBufferedStep:
     """The buffered passes against the unbuffered ones they replaced, kept here
-    as the oracle; the arithmetic is unchanged, so results must be equal.
-    ``discriminator_gradients`` is compared with and without input dropout,
-    ``mapping_gradient`` (which has none) without."""
+    as the oracle, in float64; the arithmetic is unchanged, so results must be
+    equal. ``discriminator_gradients`` is compared with and without input
+    dropout, ``mapping_gradient`` (which has none) without. The oracle
+    backpropagates every row for the parameters and the source rows alone for
+    W, as the program does."""
 
     @staticmethod
     def oracle_forward(disc, v, dropout_rng):
@@ -224,8 +228,9 @@ class TestBufferedStep:
         dz3 = np.empty(n_src + n_tgt)
         dz3[:n_src] = (p_src - target_mapped) / n_src
         dz3[n_src:] = (p_tgt - target_real) / n_tgt
-        grads, d_input = cls.oracle_backward(disc, dz3, cache)
-        return loss, grads, probs, d_input[:n_src].T @ x
+        grads, _ = cls.oracle_backward(disc, dz3, cache)
+        _, d_input = cls.oracle_backward(disc, dz3[:n_src], [c[:n_src] for c in cache])
+        return loss, grads, probs, d_input.T @ x
 
     def assert_matches_oracle(self, disc, w, x, y, seed=None):
         s = 0.2
@@ -251,24 +256,24 @@ class TestBufferedStep:
 
     def test_dropout_with_generators_at_the_same_state(self):
         rng = np.random.default_rng(20)
-        disc = Discriminator(6, hidden=16, input_dropout=0.3, rng=rng)
+        disc = Discriminator(6, hidden=16, input_dropout=0.3, rng=rng, dtype=np.float64)
         w = rng.normal(size=(6, 6))
         x, y = self.batch(21, 8, 8)
         self.assert_matches_oracle(disc, w, x, y, seed=22)
 
     def test_unequal_sides(self):
         rng = np.random.default_rng(23)
-        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng)
+        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(6, 6))
         x, y = self.batch(24, 3, 7)
         self.assert_matches_oracle(disc, w, x, y)
 
     def test_alternating_batch_sizes_on_one_discriminator(self):
         # at this width some row counts of a matrix product round differently
-        # from the same rows inside a larger product, so a pass that ran only
-        # part of the batch would not match
+        # from the same rows inside a larger product, so W's gradient matches
+        # only an oracle that also runs the source rows alone
         rng = np.random.default_rng(25)
-        disc = Discriminator(50, hidden=128, input_dropout=0.1, rng=rng)
+        disc = Discriminator(50, hidden=128, input_dropout=0.1, rng=rng, dtype=np.float64)
         w = rng.normal(size=(50, 50)) * 0.2
         sizes = [(32, 32), (2, 5), (32, 32), (1, 1), (33, 31), (5, 2), (32, 32)]
         for i, (n_src, n_tgt) in enumerate(sizes):
@@ -277,7 +282,7 @@ class TestBufferedStep:
 
     def test_returned_gradients_are_overwritten_by_the_next_call(self):
         rng = np.random.default_rng(27)
-        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng)
+        disc = Discriminator(6, hidden=16, input_dropout=0.0, rng=rng, dtype=np.float64)
         w = rng.normal(size=(6, 6))
         x, y = self.batch(28, 4, 4)
         x2, y2 = self.batch(29, 4, 4)
@@ -316,6 +321,64 @@ class TestBufferedStep:
             assert np.all(w == i) and np.all(b == -(i + 2.0))
         assert [p.shape for p in disc.grads] == [p.shape for p in disc.params]
         assert all(np.shares_memory(g, disc.flat_grads) for g in disc.grads)
+
+
+class TestFloat32Discriminator:
+    """The trained discriminator is float32; the same code in float64 is the
+    reference its gradients and losses must stay close to."""
+
+    @pytest.mark.parametrize("dim, hidden", [(50, 128), (6, 16)])
+    def test_float32_pass_matches_float64_pass(self, dim, hidden):
+        disc32 = Discriminator(dim, hidden, 0.1, np.random.default_rng(30))
+        disc64 = Discriminator(dim, hidden, 0.1, np.random.default_rng(30), dtype=np.float64)
+        assert disc32.flat_params.dtype == np.float32
+        disc64.flat_params[:] = disc32.flat_params  # the same parameters
+        rng = np.random.default_rng(31)
+        w = rng.normal(size=(dim, dim)) * 0.2
+        x, y = rng.normal(size=(32, dim)), rng.normal(size=(32, dim))
+        # dropout from generators at the same state draws the same masks
+        l32, g32, p32 = discriminator_gradients(disc32, w, x, y, 0.2, np.random.default_rng(32))
+        l64, g64, p64 = discriminator_gradients(disc64, w, x, y, 0.2, np.random.default_rng(32))
+        assert abs(l32 - l64) <= 1e-4 * abs(l64)
+        assert np.max(np.abs(p32 - p64)) <= 1e-4
+        for a, b in zip(g32, g64):
+            assert a.dtype == np.float32
+            assert np.max(np.abs(a - b)) <= 1e-4 * np.max(np.abs(b))
+        l32, d_w32 = mapping_gradient(disc32, w, x, y, 0.2)
+        l64, d_w64 = mapping_gradient(disc64, w, x, y, 0.2)
+        assert d_w32.dtype == np.float64
+        assert abs(l32 - l64) <= 1e-4 * abs(l64)
+        assert np.max(np.abs(d_w32 - d_w64)) <= 1e-4 * np.max(np.abs(d_w64))
+
+    @staticmethod
+    def small_run():
+        task = make_paired_task(n=300, n_seeds=10, n_truth=10, seed=3)
+        x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
+        cfg = AdvConfig(epochs=2, hidden_dim=32, selection_topk=100, rng_seed=7)
+        return train_adversarial(solve_procrustes(x_s, y_s), task.src, task.tgt, cfg)
+
+    def test_trained_discriminator_is_float32_and_w_float64(self, monkeypatch):
+        from apimap import adversarial
+
+        seen = []
+
+        def recording(disc, *args, **kwargs):
+            seen.append(disc)
+            return discriminator_gradients(disc, *args, **kwargs)
+
+        monkeypatch.setattr(adversarial, "discriminator_gradients", recording)
+        w2 = self.small_run()
+        assert w2.w.dtype == np.float64
+        disc = seen[-1]
+        assert all(d is disc for d in seen)
+        assert disc.flat_params.dtype == disc.flat_grads.dtype == np.float32
+        buf = disc._buf
+        for name in ("v", "mask", "a1", "s1", "a2", "s2", "dz2", "dz1", "side", "d_input"):
+            assert getattr(buf, name).dtype == np.float32, name
+        assert buf.draw.dtype == np.float64
+
+    def test_seeded_runs_return_bit_equal_w(self):
+        assert np.array_equal(self.small_run().w, self.small_run().w)
 
 
 class TestSelectionCriterion:
