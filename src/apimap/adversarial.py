@@ -69,31 +69,6 @@ class AdvConfig:
             raise ValueError("steps_per_epoch must be >= 1")
 
 
-class _StepBuffers:
-    """Work arrays of one batch shape, overwritten by every pass over that shape.
-
-    Rows are the mapped sources first, then the targets; ``a`` and ``s`` are a
-    layer's activations and its leaky-rectifier slopes (1.0 or LEAKY_SLOPE in
-    the discriminator's dtype), so ``a = z * s`` and the backward pass
-    multiplies by ``s``. ``side`` holds each row's side size, the divisor of
-    its per-side mean. Every array is in the discriminator's dtype except
-    ``draw``, the float64 uniforms that dropout compares into ``mask``, so the
-    generator's stream does not depend on that dtype. ``d_input`` has the
-    source rows only: the mapping gradient reads no other.
-    """
-
-    def __init__(self, n_src: int, n_tgt: int, dim: int, hidden: int, dtype: np.dtype):
-        n = n_src + n_tgt
-        self.shape = (n_src, n_tgt)
-        self.v = np.empty((n, dim), dtype)  # network input, scaled in place by dropout
-        self.draw = np.empty((n, dim))
-        self.mask = np.empty((n, dim), dtype)  # dropout scale: 0 or 1 / (1 - p)
-        self.a1, self.s1, self.a2, self.s2, self.dz2, self.dz1 = (
-            np.empty((n, hidden), dtype) for _ in range(6))
-        self.side = np.repeat(np.array([n_src, n_tgt], dtype=dtype), [n_src, n_tgt])
-        self.d_input = np.empty((n_src, dim), dtype)
-
-
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     views, pos = [], 0
     for shape in shapes:
@@ -112,10 +87,8 @@ class Discriminator:
     that train, and the optimizer updates all of them in one operation.
     ``flat_grads`` has the same layout, with ``grads`` its views;
     ``discriminator_gradients`` writes it. Forward/backward passes are
-    explicit so gradients can be checked against finite differences. The
-    (rows x dim) and (rows x hidden) arrays of both passes are kept for the
-    latest batch shape; the per-row arrays (probabilities, targets, losses,
-    logit gradients) are new on every call.
+    explicit so gradients can be checked against finite differences; every
+    array of a pass is new on every call.
 
     Every array of the network is in ``dtype``: float32 trains, as in Conneau
     et al. 2018, at about half the cost of float64. The initial parameters
@@ -139,58 +112,56 @@ class Discriminator:
             bound = 1.0 / math.sqrt(w.shape[1])
             w[:] = rng.uniform(-bound, bound, size=w.shape)
             b[:] = rng.uniform(-bound, bound, size=b.shape)
-        self._buf: _StepBuffers | None = None
 
     def _forward(self, m: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 dropout_rng: np.random.Generator | None
-                 ) -> tuple[_StepBuffers, np.ndarray]:
-        """The work arrays and the probabilities of the rows ``x @ m.T`` then ``y``."""
+                 dropout_rng: np.random.Generator | None) -> tuple[np.ndarray, ...]:
+        """The pass over the rows ``x @ m.T`` then ``y``: returns the network
+        input ``v``, each hidden layer's activations and leaky-rectifier slopes
+        (1.0 or LEAKY_SLOPE, so ``a = z * s`` and the backward pass multiplies
+        by ``s``), and the probabilities."""
         n_src = x.shape[0]
-        buf = self._buf
-        if buf is None or buf.shape != (n_src, y.shape[0]):
-            hidden, dim = self.weights[0].shape
-            buf = self._buf = _StepBuffers(n_src, y.shape[0], dim, hidden,
-                                           self.flat_params.dtype)
-        v = buf.v
+        v = np.empty((n_src + y.shape[0], x.shape[1]), self.flat_params.dtype)
         v[:n_src] = x @ m.T  # mapped in float64, then stored in v's dtype
         v[n_src:] = y
         if dropout_rng is not None and self.input_dropout > 0:
-            dropout_rng.random(out=buf.draw)
-            np.greater_equal(buf.draw, self.input_dropout, out=buf.mask)
-            buf.mask /= 1.0 - self.input_dropout
-            v *= buf.mask
-        a_in = v
-        for w, b, a, s in ((self.weights[0], self.biases[0], buf.a1, buf.s1),
-                           (self.weights[1], self.biases[1], buf.a2, buf.s2)):
-            np.matmul(a_in, w.T, out=a)
+            # float64 uniforms, so the generator's stream does not depend on dtype
+            mask = (dropout_rng.random(v.shape) >= self.input_dropout).astype(v.dtype)
+            mask /= 1.0 - self.input_dropout
+            v *= mask
+        layers = []
+        a = v
+        for w, b in zip(self.weights[:2], self.biases[:2]):
+            a = a @ w.T
             a += b
-            np.greater(a, 0.0, out=s)
+            s = (a > 0.0).astype(a.dtype)
             s *= 1.0 - LEAKY_SLOPE
             s += LEAKY_SLOPE
             a *= s
-            a_in = a
-        logits = (a_in @ self.weights[2].T)[:, 0]
-        return buf, 1.0 / (1.0 + np.exp(-(logits + self.biases[2])))
+            layers += [a, s]
+        logits = (a @ self.weights[2].T)[:, 0]
+        return (v, *layers, 1.0 / (1.0 + np.exp(-(logits + self.biases[2]))))
 
-    def _backward(self, buf: _StepBuffers, dz3: np.ndarray, rows: int) -> np.ndarray:
+    def _backward(self, s1: np.ndarray, s2: np.ndarray, dz3: np.ndarray,
+                  rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate the logits' gradient ``dz3`` of the first ``rows`` rows
-        to both hidden layers' pre-activations; returns those rows of
-        ``buf.dz1`` (``buf.dz2`` holds the same rows of its layer)."""
-        dz2 = np.multiply(dz3[:rows, None], self.weights[2], out=buf.dz2[:rows])
-        dz2 *= buf.s2[:rows]
-        dz1 = np.matmul(dz2, self.weights[1], out=buf.dz1[:rows])
-        dz1 *= buf.s1[:rows]
-        return dz1
+        to both hidden layers' pre-activations; returns those rows' ``dz1`` and
+        ``dz2``."""
+        dz2 = dz3[:rows, None] * self.weights[2]
+        dz2 *= s2[:rows]
+        dz1 = dz2 @ self.weights[1]
+        dz1 *= s1[:rows]
+        return dz1, dz2
 
-    def _param_grads(self, buf: _StepBuffers, dz3: np.ndarray) -> None:
+    def _param_grads(self, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                     dz1: np.ndarray, dz2: np.ndarray, dz3: np.ndarray) -> None:
         """Parameter gradients into ``flat_grads``, after ``_backward``."""
         d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = self.grads
-        np.matmul(dz3[:, None].T, buf.a2, out=d_w3)
+        np.matmul(dz3[:, None].T, a2, out=d_w3)
         d_b3[0] = dz3.sum()
-        np.matmul(buf.dz2.T, buf.a1, out=d_w2)
-        np.sum(buf.dz2, axis=0, out=d_b2)
-        np.matmul(buf.dz1.T, buf.v, out=d_w1)
-        np.sum(buf.dz1, axis=0, out=d_b1)
+        np.matmul(dz2.T, a1, out=d_w2)
+        np.sum(dz2, axis=0, out=d_b2)
+        np.matmul(dz1.T, v, out=d_w1)
+        np.sum(dz1, axis=0, out=d_b1)
 
 
 def _two_sided_loss(
@@ -201,24 +172,29 @@ def _two_sided_loss(
     target_mapped: float,
     target_real: float,
     dropout_rng: np.random.Generator | None,
-) -> tuple[float, _StepBuffers, np.ndarray, np.ndarray]:
+) -> tuple[float, tuple[np.ndarray, ...], np.ndarray]:
     """Shared forward pass: per-side mean BCE, summed over the two sides.
 
     The binary cross-entropy against the (possibly smoothed) targets is taken
-    on probabilities clamped away from {0, 1}. Returns the loss, the work
-    arrays, the probabilities and the loss gradient with respect to the logits.
+    on probabilities clamped away from {0, 1}. Returns the loss, the pass
+    (``Discriminator._forward``'s arrays) and the loss gradient with respect
+    to the logits.
     """
     x, y = np.atleast_2d(x_batch), np.atleast_2d(y_batch)
     n_src = x.shape[0]
     if n_src == 0 or y.shape[0] == 0:
         raise ValueError("batches must be non-empty")
-    buf, probs = disc._forward(np.asarray(w), x, y, dropout_rng)
+    fwd = disc._forward(np.asarray(w), x, y, dropout_rng)
+    probs = fwd[-1]
     t = np.full(probs.shape, target_real, dtype=probs.dtype)
     t[:n_src] = target_mapped
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     nll = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
     loss = float(nll[:n_src].mean()) + float(nll[n_src:].mean())
-    return loss, buf, probs, (probs - t) / buf.side
+    dz3 = probs - t
+    dz3[:n_src] /= n_src
+    dz3[n_src:] /= y.shape[0]
+    return loss, fwd, dz3
 
 
 def discriminator_gradients(
@@ -239,11 +215,11 @@ def discriminator_gradients(
     copy them to keep them; the probabilities are the caller's own array.
     The gradient with respect to the input is not computed.
     """
-    loss, buf, probs, dz3 = _two_sided_loss(
+    loss, (v, a1, s1, a2, s2, probs), dz3 = _two_sided_loss(
         disc, w, x_batch, y_batch, 1.0 - smoothing, smoothing, dropout_rng
     )
-    disc._backward(buf, dz3, len(dz3))
-    disc._param_grads(buf, dz3)
+    dz1, dz2 = disc._backward(s1, s2, dz3, len(dz3))
+    disc._param_grads(v, a1, a2, dz1, dz2, dz3)
     return loss, disc.grads, probs
 
 
@@ -262,12 +238,12 @@ def mapping_gradient(
     is a new float64 array that later calls leave alone. The discriminator's
     parameter gradients are not computed, and ``disc.flat_grads`` is untouched.
     """
-    loss, buf, _, dz3 = _two_sided_loss(
+    loss, (_, _, s1, _, s2, _), dz3 = _two_sided_loss(
         disc, w, x_batch, y_batch, smoothing, 1.0 - smoothing, None
     )
     x = np.atleast_2d(x_batch)
-    dz1 = disc._backward(buf, dz3, x.shape[0])
-    d_input = np.matmul(dz1, disc.weights[0], out=buf.d_input)
+    dz1, _ = disc._backward(s1, s2, dz3, x.shape[0])
+    d_input = dz1 @ disc.weights[0]
     return loss, d_input.T.astype(np.float64) @ x
 
 
@@ -335,9 +311,7 @@ def train_adversarial(
         steps = max(1, math.ceil(max(len(src), len(tgt)) / cfg.batch_size))
 
     vel_disc = np.zeros_like(disc.flat_params)
-    step_disc = np.empty_like(vel_disc)
     vel_w = np.zeros_like(w)
-    step_w = np.empty_like(w)
     lr = cfg.learning_rate
 
     for epoch in range(1, cfg.epochs + 1):
@@ -359,16 +333,14 @@ def train_adversarial(
                 seen += 2 * bs
                 vel_disc *= MOMENTUM
                 vel_disc += disc.flat_grads
-                np.multiply(lr, vel_disc, out=step_disc)
-                disc.flat_params -= step_disc
+                disc.flat_params -= lr * vel_disc
                 disc_losses.append(loss_d)
             xb = src.vectors[rng.integers(0, n_pool, cfg.batch_size)]
             yb = tgt.vectors[rng.integers(0, m_pool, cfg.batch_size)]
             loss_w, d_w = mapping_gradient(disc, w, xb, yb, cfg.label_smoothing)
             vel_w *= MOMENTUM
             vel_w += d_w
-            np.multiply(lr, vel_w, out=step_w)
-            w -= step_w
+            w -= lr * vel_w
             map_losses.append(loss_w)
             if not (math.isfinite(loss_d) and math.isfinite(loss_w)):
                 raise DivergenceError(

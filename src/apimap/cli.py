@@ -130,7 +130,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     kept = 0
     dropped = 0
     # the input is opened first, so a missing one leaves no --out file behind
-    with open(getattr(args, "in"), encoding="utf-8") as fh, \
+    with open(getattr(args, "in"), encoding="utf-8-sig") as fh, \
             open(args.out, "w", encoding="utf-8") as out:
         for seq in map(str.split, fh):
             normalized, n_dropped = corpus.normalize_sequence(seq, table)
@@ -205,7 +205,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     tokens = list(args.tokens)
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             tokens.extend(line.strip() for line in fh if line.strip())
     if not tokens:
         raise FormatError("no query tokens given (positional or --file)")
@@ -375,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, ValueError, FileNotFoundError) as exc:
+    except (FormatError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"apimap: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime / numeric failure

@@ -139,7 +139,7 @@ def read_corpus(path: str) -> Iterator[CodeSequence]:
 
     Blank lines yield empty sequences so line numbering is preserved.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             yield line.split()
 
@@ -148,9 +148,10 @@ def read_tsv(path: str, widths: tuple[int, ...] = (2,)) -> Iterator[tuple[int, l
     """Yield ``(lineno, cols)`` for each non-blank line of a tab-separated file.
 
     Every row must have one of ``widths`` columns, the first two non-empty;
-    any other row raises FormatError naming the file and line.
+    any other row raises FormatError naming the file and line. A leading
+    UTF-8 byte-order mark is skipped, as by every reader of input text.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -193,7 +194,7 @@ def load_signature_table(entries_path: str, keywords_path: str | None = None) ->
         entries[raw] = sig
     keywords: set[str] = set()
     if keywords_path is not None:
-        with open(keywords_path, encoding="utf-8") as fh:
+        with open(keywords_path, encoding="utf-8-sig") as fh:
             for line in fh:
                 word = line.strip()
                 if word:

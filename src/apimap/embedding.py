@@ -343,7 +343,7 @@ def load_space(path: str) -> EmbeddingSpace:
     without a count or breaks this order raises FormatError. Without one,
     every count is 1 and the row order is taken as frequency order, unchecked.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         try:
             n, dim = map(int, header)

@@ -184,7 +184,7 @@ def load_matrix(path: str) -> MappingMatrix:
     stage = STAGE_SEEDED
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -173,10 +173,10 @@ class TestGradientChecks:
 
 
 class TestBufferedStep:
-    """The buffered passes against the unbuffered ones they replaced, kept here
-    as the oracle, in float64; the arithmetic is unchanged, so results must be
-    equal. ``discriminator_gradients`` is compared with and without input
-    dropout, ``mapping_gradient`` (which has none) without. The oracle
+    """The program's passes against a plain restatement of the network, kept
+    here as the oracle, in float64; the arithmetic is the same, so results
+    must be equal. ``discriminator_gradients`` is compared with and without
+    input dropout, ``mapping_gradient`` (which has none) without. The oracle
     backpropagates every row for the parameters and the source rows alone for
     W, as the program does."""
 
@@ -360,22 +360,28 @@ class TestFloat32Discriminator:
     def test_trained_discriminator_is_float32_and_w_float64(self, monkeypatch):
         from apimap import adversarial
 
-        seen = []
+        seen, passes, d_ws = [], [], []
 
         def recording(disc, *args, **kwargs):
             seen.append(disc)
-            return discriminator_gradients(disc, *args, **kwargs)
+            _, grads, probs = out = discriminator_gradients(disc, *args, **kwargs)
+            passes.append([probs.dtype] + [g.dtype for g in grads])
+            return out
+
+        def recording_w(*args, **kwargs):
+            out = mapping_gradient(*args, **kwargs)
+            d_ws.append(out[1].dtype)
+            return out
 
         monkeypatch.setattr(adversarial, "discriminator_gradients", recording)
+        monkeypatch.setattr(adversarial, "mapping_gradient", recording_w)
         w2 = self.small_run()
         assert w2.w.dtype == np.float64
         disc = seen[-1]
         assert all(d is disc for d in seen)
         assert disc.flat_params.dtype == disc.flat_grads.dtype == np.float32
-        buf = disc._buf
-        for name in ("v", "mask", "a1", "s1", "a2", "s2", "dz2", "dz1", "side", "d_input"):
-            assert getattr(buf, name).dtype == np.float32, name
-        assert buf.draw.dtype == np.float64
+        assert passes and all(d == np.float32 for p in passes for d in p)
+        assert d_ws and all(d == np.float64 for d in d_ws)
 
     def test_seeded_runs_return_bit_equal_w(self):
         assert np.array_equal(self.small_run().w, self.small_run().w)

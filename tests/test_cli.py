@@ -113,10 +113,22 @@ class TestNormalize:
         assert code == 2
         assert ":2" in capsys.readouterr().err
 
-    def test_missing_file_exits_2(self, tmp_path):
+    def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("normalize", "--in", str(tmp_path / "nope.txt"),
                    "--table", str(tmp_path / "nope.tsv"),
                    "--out", str(tmp_path / "o.txt")) == 2
+        # a directory as the input or the output, and a path under a regular file
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("A.b\n")
+        table = tmp_path / "table.tsv"
+        table.write_text("A.b\tx.A.b\n")
+        capsys.readouterr()
+        for bad, in_path, out_path in [(tmp_path, tmp_path, tmp_path / "o.txt"),
+                                       (tmp_path, corpus, tmp_path),
+                                       (corpus / "x.txt", corpus / "x.txt", tmp_path / "o.txt")]:
+            assert run("normalize", "--in", str(in_path), "--table", str(table),
+                       "--out", str(out_path)) == 2
+            assert str(bad) in capsys.readouterr().err
 
     def test_missing_input_exits_2_without_writing(self, tmp_path):
         table = tmp_path / "table.tsv"

@@ -12,6 +12,8 @@ from apimap.corpus import (
     to_class_level,
 )
 from apimap.errors import FormatError
+from apimap.evaluation import load_ground_truth
+from apimap.seeding import load_seeds
 
 TABLE = SignatureTable(
     entries={
@@ -83,6 +85,23 @@ class TestSignatureTable:
         path.write_text("justonecolumn\n")
         with pytest.raises(FormatError, match=":1"):
             load_signature_table(str(path))
+
+
+class TestByteOrderMark:
+    """A file saved with a leading UTF-8 byte-order mark loads as the file
+    without one: the mark is not part of the first token."""
+
+    @pytest.mark.parametrize("load", [
+        lambda p: tuple(load_seeds(p)),
+        lambda p: load_ground_truth(p).pairs,
+    ], ids=["seeds", "truth"])
+    def test_bom_file_loads_the_same_pairs(self, tmp_path, load):
+        text = "s0\tt0\ns1\tt1\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(str(marked)) == load(str(plain)) == (("s0", "t0"), ("s1", "t1"))
 
 
 class TestBuildVocabulary:

@@ -18,6 +18,7 @@ from apimap.refinement import (
     refine,
 )
 from apimap.seeding import (
+    ORTHOGONALITY_TOL,
     MappingMatrix,
     nearest_orthogonal,
     random_orthogonal,
@@ -516,6 +517,7 @@ class TestRefine:
             out = refine(w2, src, tgt, cfg)
         assert "empty candidate set" in caplog.text
         assert out.orthogonal
+        assert np.linalg.norm(out.w.T @ out.w - np.eye(10)) < ORTHOGONALITY_TOL
 
     def test_gain_concentrates_on_frequent_tokens(self):
         # noise grows with frequency rank; refinement anchors on frequent tokens

@@ -9,6 +9,7 @@ import pytest
 from apimap.corpus import Vocabulary
 from apimap.errors import DivergenceError, FormatError
 from apimap.seeding import (
+    ORTHOGONALITY_TOL,
     MappingMatrix,
     SeedDictionary,
     load_matrix,
@@ -79,6 +80,7 @@ class TestSolveProcrustes:
         w = solve_procrustes(np.eye(3), np.eye(3))
         np.testing.assert_allclose(w.w, np.eye(3), atol=1e-12)
         assert w.orthogonal and w.stage == "seeded"
+        assert np.linalg.norm(w.w.T @ w.w - np.eye(3)) < ORTHOGONALITY_TOL
 
     def test_ninety_degree_rotation(self):
         x = np.eye(2)
