@@ -263,6 +263,8 @@ def selection_criterion(
         raise ValueError("k must be >= 1")
     if k > len(src):
         raise ValueError(f"k={k} exceeds source vocabulary size {len(src)}")
+    if len(tgt) == 0:
+        raise ValueError("target embedding space is empty")
     _, best = topk(src.vectors[:k] @ np.asarray(w).T, tgt.vectors, 1)
     return float(best.mean())
 
@@ -298,6 +300,9 @@ def train_adversarial(
         raise ValueError(
             f"dimension mismatch: W is {w1.dim}, source {src.dim}, target {tgt.dim}"
         )
+    for side, space in (("source", src), ("target", tgt)):
+        if len(space) == 0:
+            raise ValueError(f"{side} embedding space is empty")
     k_sel = min(cfg.selection_topk, len(src))
     w = w1.w.copy()
     best_criterion = selection_criterion(w, src, tgt, k_sel)

@@ -205,8 +205,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     tokens = list(args.tokens)
     if args.file:
-        with open(args.file, encoding="utf-8-sig") as fh:
-            tokens.extend(line.strip() for line in fh if line.strip())
+        tokens.extend(corpus.read_tokens(args.file))
     if not tokens:
         raise FormatError("no query tokens given (positional or --file)")
     if args.k < 1:

@@ -144,6 +144,20 @@ def read_corpus(path: str) -> Iterator[CodeSequence]:
             yield line.split()
 
 
+def read_tokens(path: str) -> list[str]:
+    """The tokens of a one-token-per-line UTF-8 text file; blank lines are
+    skipped. A line that holds more than one token raises FormatError naming
+    the file and line."""
+    tokens: list[str] = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            words = line.split()
+            if len(words) > 1:
+                raise FormatError(f"{path}:{lineno}: expected one token, got {len(words)}")
+            tokens.extend(words)
+    return tokens
+
+
 def read_tsv(path: str, widths: tuple[int, ...] = (2,)) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, cols)`` for each non-blank line of a tab-separated file.
 
@@ -179,7 +193,8 @@ def parse_float(text: str, path: str, lineno: int) -> float:
 
 
 def load_signature_table(entries_path: str, keywords_path: str | None = None) -> SignatureTable:
-    """Load a signature table from a TSV file plus an optional keyword list.
+    """Load a signature table from a TSV file plus an optional keyword list,
+    one keyword per line (``read_tokens``).
 
     The TSV has two columns, ``raw_token<TAB>qualified_signature``. Raw tokens
     mapping to more than one signature are ambiguous and rejected.
@@ -192,13 +207,7 @@ def load_signature_table(entries_path: str, keywords_path: str | None = None) ->
                 f"({entries[raw]!r} vs {sig!r})"
             )
         entries[raw] = sig
-    keywords: set[str] = set()
-    if keywords_path is not None:
-        with open(keywords_path, encoding="utf-8-sig") as fh:
-            for line in fh:
-                word = line.strip()
-                if word:
-                    keywords.add(word)
+    keywords = read_tokens(keywords_path) if keywords_path is not None else []
     try:
         return SignatureTable(entries, frozenset(keywords))
     except FormatError as exc:

@@ -4,16 +4,17 @@ The trainer is a plain numpy implementation of skip-gram with negative
 sampling: frequent-token subsampling, unigram^0.75 negative distribution,
 per-center context windows sampled uniformly in [1, window], and linear
 learning-rate decay. One training step covers a group of consecutive whole
-lines, as Ji et al. 2016 batch many contexts into one update: one call of
-``sgns_step``, the gradient that the tests check against ``sgns_loss``, for
-every (center, context) pair of the group, and one ``np.bincount`` scatter-add
-per weight matrix. A group closes at ``STEP_PAIRS`` expected pairs, or earlier
-when its gradient block could exceed ``similarity.TILE_BYTES``, so wide
-configurations still take one line per step. The groups are planned once per
-run, before the first epoch. Single-worker runs are
-bit-reproducible given a seed; multi-worker runs train one shard of lines per
-thread, update the shared weights without locks and trade determinism for
-throughput.
+lines, as Ji et al. 2016 batch many contexts into one update. Its (center,
+context) pairs go through ``sgns_step``, the gradient that the tests check
+against ``sgns_loss``, and one ``np.bincount`` scatter-add per weight matrix,
+in consecutive slices. A slice holds at most ``STEP_PAIRS`` pairs, or as many
+as fill a ``similarity.TILE_BYTES`` float64 gradient block if that is more,
+and is updated together from the weights at its start. A group closes at
+``STEP_PAIRS`` expected pairs, or at the pairs that fill one such block if
+that is fewer. The groups are planned once per run, before the first epoch.
+Single-worker runs are bit-reproducible given a seed; multi-worker runs train
+one shard of lines per thread, update the shared weights without locks and
+trade determinism for throughput.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .similarity import TILE_BYTES
 
 NEGATIVE_TABLE_EXPONENT = 0.75
 MIN_LEARNING_RATE = 1e-4
-# expected (center, context) pairs at which a step's group of lines closes
+# expected (center, context) pairs at which a step's group of lines closes; a
+# step's pairs are trained in slices of this many, or more if TILE_BYTES allows
 STEP_PAIRS = 512
 
 
@@ -192,24 +194,19 @@ def _step_plan(
     each position.
 
     A group closes once its expected pairs (expected kept tokens times
-    ``window + 1``) reach ``STEP_PAIRS``, or before a line whose most possible
-    pairs would take the group's ``(pairs, negatives + 1, dim)`` float64
-    gradient block past ``TILE_BYTES``. A line is never split, so a line that
-    alone exceeds the block limit is a step of its own.
+    ``window + 1``) reach ``STEP_PAIRS``, or, if fewer, the pairs whose
+    ``(pairs, negatives + 1, dim)`` float64 gradient block fills
+    ``TILE_BYTES``. A group's actual pairs may run past that; ``_train_shard``
+    bounds the block by training a step's pairs in slices.
     """
-    pair_bytes = 8 * (cfg.negatives + 1) * cfg.dim
+    close = min(STEP_PAIRS, TILE_BYTES // (8 * (cfg.negatives + 1) * cfg.dim))
     cuts = [0]
-    expected, most = 0.0, 0
+    expected = 0.0
     for k, line in enumerate(lines):
-        line_most = len(line) * min(2 * cfg.window, len(line) - 1)
-        if k > cuts[-1] and (most + line_most) * pair_bytes > TILE_BYTES:
-            cuts.append(k)
-            expected, most = 0.0, 0
         expected += float(keep[line].sum()) * (cfg.window + 1)
-        most += line_most
-        if expected >= STEP_PAIRS:
+        if expected >= close:
             cuts.append(k + 1)
-            expected, most = 0.0, 0
+            expected = 0.0
     if cuts[-1] < len(lines):
         cuts.append(len(lines))
     return [
@@ -236,11 +233,15 @@ def _train_shard(
 
     ``done`` counts the shard's words trained so far; scaled by the number of
     shards it stands for the run's progress in the learning-rate decay. One
-    step trains one group: every (center, context) pair of its lines is updated
-    together from the weights at the start of the step, at the learning rate
-    of the step's last word. Negatives are drawn from the cumulative
+    step trains one group, at the learning rate of the step's last word: its
+    subsampling mask, window spans and negatives are drawn once, and its
+    (center, context) pairs are trained in consecutive slices of at most
+    ``STEP_PAIRS`` pairs, or of as many as fill a ``TILE_BYTES`` gradient
+    block if more. The pairs of a slice are updated together from the weights
+    at the start of the slice. Negatives are drawn from the cumulative
     unigram^0.75 weights ``neg_cum``. Returns the new ``done``.
     """
+    size = max(STEP_PAIRS, TILE_BYTES // (8 * (cfg.negatives + 1) * cfg.dim))
     for tokens, line_of in plan:
         done += len(tokens)
         alpha = max(
@@ -267,9 +268,13 @@ def _train_shard(
         weights = np.ones(targets.shape)
         weights[:, 1:][negatives == contexts[:, None]] = 0.0
 
-        grad_centers, grad_outputs = sgns_step(syn_in[centers], syn_out[targets], weights)
-        _scatter_add(syn_out, targets.ravel(), grad_outputs.reshape(-1, syn_out.shape[1]), -alpha)
-        _scatter_add(syn_in, centers, grad_centers, -alpha)
+        for lo in range(0, len(i), size):
+            part = slice(lo, lo + size)
+            grad_centers, grad_outputs = sgns_step(
+                syn_in[centers[part]], syn_out[targets[part]], weights[part])
+            _scatter_add(syn_out, targets[part].ravel(),
+                         grad_outputs.reshape(-1, syn_out.shape[1]), -alpha)
+            _scatter_add(syn_in, centers[part], grad_centers, -alpha)
     return done
 
 

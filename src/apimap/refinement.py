@@ -161,6 +161,9 @@ def refine(
         raise ValueError(
             f"dimension mismatch: W is {w2.dim}, source {src.dim}, target {tgt.dim}"
         )
+    for side, space in (("source", src), ("target", tgt)):
+        if len(space) == 0:
+            raise ValueError(f"{side} embedding space is empty")
     k_sel = min(cfg.selection_topk, len(src))
     best_w = nearest_orthogonal(w2.w)
     best_criterion = criterion = selection_criterion(best_w, src, tgt, k_sel)

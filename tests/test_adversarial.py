@@ -419,6 +419,9 @@ class TestSelectionCriterion:
             selection_criterion(np.eye(4), space, space, 0)
         with pytest.raises(ValueError):
             selection_criterion(np.eye(4), space, space, 11)
+        # an empty target has no nearest neighbour to average
+        with pytest.raises(ValueError, match="target embedding space is empty"):
+            selection_criterion(np.eye(4), space, space_from(np.empty((0, 4))), 10)
 
 
 class TestAdvConfig:

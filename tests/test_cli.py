@@ -130,6 +130,21 @@ class TestNormalize:
                        "--out", str(out_path)) == 2
             assert str(bad) in capsys.readouterr().err
 
+    def test_keyword_line_with_two_tokens_exits_2_naming_the_line(self, tmp_path, capsys):
+        # read as one token, "if else" would drop both keywords as noise
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("A.b if\n")
+        table = tmp_path / "table.tsv"
+        table.write_text("A.b\tx.A.b\n")
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("return\nif else\n")
+        out = tmp_path / "o.txt"
+        code = run("normalize", "--in", str(corpus), "--table", str(table),
+                   "--keywords", str(keywords), "--out", str(out))
+        assert code == 2
+        assert f"{keywords}:2: expected one token, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2_without_writing(self, tmp_path):
         table = tmp_path / "table.tsv"
         table.write_text("A.b\tx.A.b\n")
@@ -218,10 +233,11 @@ class TestAlign:
                    "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s", "--out-matrix", str(matrix))
         assert code == 0
-        from apimap.seeding import load_matrix
+        from apimap.seeding import ORTHOGONALITY_TOL, load_matrix
 
         w = load_matrix(str(matrix))
         assert w.stage == "seeded" and w.orthogonal
+        assert np.linalg.norm(w.w.T @ w.w - np.eye(w.dim)) < ORTHOGONALITY_TOL
 
     def test_full_chain_with_logs(self, trained_pair):
         matrix = trained_pair["dir"] / "w3.txt"
@@ -300,7 +316,7 @@ class TestAlign:
         assert len(candidates) >= 2 and candidates[0] == 0
         assert 0 < max(candidates) <= 40
 
-    def test_dimension_mismatch_exits_2(self, trained_pair, tmp_path):
+    def test_dimension_mismatch_exits_2(self, trained_pair, tmp_path, capsys):
         from apimap.corpus import Vocabulary
         from apimap.embedding import EmbeddingSpace, save_space
 
@@ -311,6 +327,19 @@ class TestAlign:
                    "--tgt-emb", str(other), "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s", "--out-matrix", str(tmp_path / "w.txt"))
         assert code == 2
+        # a 0-row space of the right dimension loads, and then A and R reject it
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 10\n")
+        src, tgt = str(trained_pair["src"]), str(trained_pair["tgt"])
+        for stages, src_emb, tgt_emb, side in [("r", src, empty, "target"),
+                                               ("r", empty, tgt, "source"),
+                                               ("a", src, empty, "target"),
+                                               ("a", empty, tgt, "source")]:
+            code = run("align", "--src-emb", str(src_emb), "--tgt-emb", str(tgt_emb),
+                       "--stages", stages, "--out-matrix", str(tmp_path / "w.txt"))
+            assert code == 2
+            assert f"apimap: error: {side} embedding space is empty" in capsys.readouterr().err
+        assert not (tmp_path / "w.txt").exists()
 
     def test_bad_stage_flag_exits_2_before_loading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
@@ -359,6 +388,15 @@ class TestQueryAndEval:
         assert run("query", "--matrix", str(aligned["matrix"]),
                    "--src-emb", str(aligned["src"]),
                    "--tgt-emb", str(aligned["tgt"])) == 2
+
+    def test_query_file_line_with_two_tokens_exits_2_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        queries = tmp_path / "q.txt"
+        queries.write_text("x.A.b\n\nx.A.c x.A.d\n")
+        code = run("query", "--matrix", missing, "--src-emb", missing, "--tgt-emb", missing,
+                   "--file", str(queries))
+        assert code == 2
+        assert f"{queries}:3: expected one token, got 2" in capsys.readouterr().err
 
     def test_query_k_zero_exits_2_before_loading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")

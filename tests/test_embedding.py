@@ -21,6 +21,7 @@ from apimap.embedding import (
     train_skipgram,
 )
 from apimap.errors import FormatError
+from apimap.similarity import TILE_BYTES
 
 from helpers import planted_corpus
 
@@ -219,6 +220,27 @@ class TestStepSize:
         assert 2 <= len(calls) <= 2 * 300 // 4
         # a 12-token line has at most 12 * 2 * window pairs
         assert max(calls) > 12 * 2 * cfg.window
+
+    def test_long_line_is_trained_in_bounded_slices(self, monkeypatch):
+        # one 1,000-token line holds about 11,000 pairs at the CLI width, a
+        # gradient block of over 800 MB if they were trained at once
+        cfg = TrainConfig(epochs=1, subsample=1.0, rng_seed=2)
+        bound = max(embedding.STEP_PAIRS, TILE_BYTES // (8 * (cfg.negatives + 1) * cfg.dim))
+        calls = []
+        sgns = embedding.sgns_step
+
+        def spy(centers, *args):
+            # checked before the gradient is computed, so an unbounded call fails early
+            assert len(centers) <= bound
+            calls.append(len(centers))
+            return sgns(centers, *args)
+
+        monkeypatch.setattr(embedding, "sgns_step", spy)
+        rng = np.random.default_rng(5)
+        train_skipgram([[f"t{k}" for k in rng.integers(0, 200, size=1000)]], cfg)
+        assert len(calls) > 1
+        # every token has a context on each side within any span but the line's ends
+        assert sum(calls) >= 2 * 1000 - 2
 
 
 class TestSgnsGradient:

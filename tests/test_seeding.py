@@ -128,6 +128,8 @@ class TestSolveGradientDescent:
     def test_identity_convergence(self):
         w = solve_gradient_descent(np.eye(2), np.eye(2), lr=0.1, iters=1000)
         assert np.linalg.norm(w.w - np.eye(2)) < 1e-3
+        # the helper's literal label: this W is the identity to 1e-15, so no
+        # norm check can stand for it
         assert not w.orthogonal
 
     def test_single_pair_fit(self):
@@ -198,6 +200,7 @@ class TestMatrixIO:
         np.testing.assert_allclose(loaded.w, w.w, atol=1e-12)
         assert loaded.stage == "adversarial"
         assert loaded.orthogonal  # recomputed from the values themselves
+        assert np.linalg.norm(loaded.w.T @ loaded.w - np.eye(6)) < ORTHOGONALITY_TOL
 
     def test_row_length_error(self, tmp_path):
         path = tmp_path / "w.txt"
