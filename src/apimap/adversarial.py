@@ -19,7 +19,7 @@ import numpy as np
 
 from .embedding import EmbeddingSpace
 from .errors import DivergenceError
-from .seeding import MappingMatrix, STAGE_ADVERSARIAL, is_orthogonal
+from .seeding import MappingMatrix, STAGE_ADVERSARIAL, check_pair, is_orthogonal
 from .similarity import topk
 
 LEAKY_SLOPE = 0.2
@@ -271,14 +271,15 @@ def selection_criterion(
 
 @dataclass
 class AdvEpoch:
-    """Per-epoch training record: mean losses, discriminator accuracy and the
-    selection criterion of the epoch-end mapping."""
+    """Per-epoch training record: mean losses, discriminator accuracy, and the
+    epoch-end mapping ``w`` with its selection criterion."""
 
     epoch: int
     disc_loss: float
     map_loss: float
     disc_accuracy: float
     criterion: float
+    w: np.ndarray
 
 
 def train_adversarial(
@@ -292,17 +293,12 @@ def train_adversarial(
 
     Each cycle runs ``disc_steps_per_map_step`` discriminator updates and one
     mapping update (momentum SGD for both, learning rate decayed per epoch).
-    After every epoch the selection criterion is evaluated; the returned matrix
-    is the highest-criterion snapshot, including the starting point, so the
-    result never scores below its initialization.
+    After every epoch the selection criterion is evaluated on a copy of W,
+    which its ``history`` row keeps; the returned matrix is the
+    highest-criterion snapshot, including the starting point, so the result
+    never scores below its initialization.
     """
-    if w1.dim != src.dim or src.dim != tgt.dim:
-        raise ValueError(
-            f"dimension mismatch: W is {w1.dim}, source {src.dim}, target {tgt.dim}"
-        )
-    for side, space in (("source", src), ("target", tgt)):
-        if len(space) == 0:
-            raise ValueError(f"{side} embedding space is empty")
+    check_pair(w1, src, tgt)
     k_sel = min(cfg.selection_topk, len(src))
     w = w1.w.copy()
     best_criterion = selection_criterion(w, src, tgt, k_sel)
@@ -352,7 +348,8 @@ def train_adversarial(
                     f"non-finite adversarial loss at epoch {epoch} step {step}: "
                     f"L_D={loss_d:.6g} L_W={loss_w:.6g}"
                 )
-        criterion = selection_criterion(w, src, tgt, k_sel)
+        snapshot = w.copy()
+        criterion = selection_criterion(snapshot, src, tgt, k_sel)
         if history is not None:
             history.append(
                 AdvEpoch(
@@ -361,10 +358,11 @@ def train_adversarial(
                     map_loss=float(np.mean(map_losses)),
                     disc_accuracy=correct / seen,
                     criterion=criterion,
+                    w=snapshot,
                 )
             )
         if criterion > best_criterion:
             best_criterion = criterion
-            best_w = w.copy()
+            best_w = snapshot
         lr *= LR_DECAY
     return MappingMatrix(best_w, STAGE_ADVERSARIAL, orthogonal=is_orthogonal(best_w))

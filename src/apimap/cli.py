@@ -175,30 +175,26 @@ def _cmd_align(args: argparse.Namespace) -> int:
     ref_cfg = _config(refinement.RefineConfig, args)
     src, tgt = _load_space_pair(args)
     seeds = seeding.load_seeds(args.seeds) if "S" in stages else None
-    history: list[adversarial.AdvEpoch] = []
-    report: list[refinement.RefineStep] = []
-    w = evaluation.run_stages(stages, src, tgt, seeds, adv_cfg, ref_cfg,
-                              args.rng_seed, history, report)
+    run = evaluation.run_stages(stages, src, tgt, seeds, adv_cfg, ref_cfg, args.rng_seed)
     if seeds is not None:
-        usable = seeds.restricted_to(src.vocab, tgt.vocab)
-        print(f"seeding: solved on {len(usable)} usable seed pairs")
+        print(f"seeding: solved on {run.usable_seeds} usable seed pairs")
     else:
         print("seeding skipped: starting from a random orthogonal matrix")
     if "A" in stages:
         if args.log:
             _write_csv(args.log, None, ["epoch", "L_D", "L_W", "disc_accuracy", "criterion"], (
                 [h.epoch, f"{h.disc_loss:.6f}", f"{h.map_loss:.6f}",
-                 f"{h.disc_accuracy:.6f}", f"{h.criterion:.6f}"] for h in history))
-        best = max(h.criterion for h in history)
-        print(f"adversarial: {len(history)} epochs, best criterion {best:.4f}")
+                 f"{h.disc_accuracy:.6f}", f"{h.criterion:.6f}"] for h in run.epochs))
+        best = max(h.criterion for h in run.epochs)
+        print(f"adversarial: {len(run.epochs)} epochs, best criterion {best:.4f}")
     if "R" in stages:
         if args.refine_report:
             _write_csv(args.refine_report, None, ["iter", "candidates", "criterion"], (
-                [r.iteration, r.candidates, f"{r.criterion:.6f}"] for r in report))
-        print(f"refinement: {len(report) - 1} iterations")
+                [r.iteration, r.candidates, f"{r.criterion:.6f}"] for r in run.iterations))
+        print(f"refinement: {len(run.iterations) - 1} iterations")
 
-    seeding.save_matrix(w, args.out_matrix)
-    print(f"mapping matrix ({w.stage}) -> {args.out_matrix}")
+    seeding.save_matrix(run.w, args.out_matrix)
+    print(f"mapping matrix ({run.w.stage}) -> {args.out_matrix}")
     return 0
 
 

@@ -8,7 +8,7 @@ refinement stages, and an ablation driver over such chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,6 +221,23 @@ def parse_stages(spec: str) -> str:
     return "+".join(names)
 
 
+@dataclass
+class StageRun:
+    """What ``run_stages`` produced: each named stage's output W, keyed "S", "A"
+    and "R" in chain order, the number of usable seed pairs S solved on, and
+    A's per-epoch and R's per-iteration rows."""
+
+    outputs: dict[str, MappingMatrix] = field(default_factory=dict)
+    usable_seeds: int = 0
+    epochs: list[AdvEpoch] = field(default_factory=list)
+    iterations: list[RefineStep] = field(default_factory=list)
+
+    @property
+    def w(self) -> MappingMatrix:
+        """The last stage's output."""
+        return list(self.outputs.values())[-1]
+
+
 def run_stages(
     stages: str,
     src: EmbeddingSpace,
@@ -229,18 +246,19 @@ def run_stages(
     adv_cfg: AdvConfig,
     ref_cfg: RefineConfig,
     rng_seed: int,
-    history: list[AdvEpoch] | None = None,
-    report: list[RefineStep] | None = None,
-) -> MappingMatrix:
+) -> StageRun:
     """Chain the stages named by ``stages`` (any form ``parse_stages`` takes).
 
     S solves on ``seeds``; without S the chain starts from a random orthogonal
-    matrix drawn from ``rng_seed``. A then R follow when named, appending their
-    per-epoch and per-iteration rows to ``history`` and ``report``.
+    matrix drawn from ``rng_seed``. A then R follow when named, each from the
+    previous output.
     """
     names = parse_stages(stages).split("+")
+    run = StageRun()
     if "S" in names:
-        w = solve_procrustes(*seed_matrices(seeds, src, tgt))
+        x_s, y_s = seed_matrices(seeds, src, tgt)
+        run.usable_seeds = len(x_s)
+        w = run.outputs["S"] = solve_procrustes(x_s, y_s)
     else:
         w = MappingMatrix(
             random_orthogonal(src.dim, np.random.default_rng(rng_seed)),
@@ -248,10 +266,10 @@ def run_stages(
             orthogonal=True,
         )
     if "A" in names:
-        w = train_adversarial(w, src, tgt, adv_cfg, history)
+        w = run.outputs["A"] = train_adversarial(w, src, tgt, adv_cfg, run.epochs)
     if "R" in names:
-        w = refine(w, src, tgt, ref_cfg, report)
-    return w
+        run.outputs["R"] = refine(w, src, tgt, ref_cfg, run.iterations)
+    return run
 
 
 def run_ablation(
@@ -266,12 +284,20 @@ def run_ablation(
     rng_seed: int,
 ) -> dict[str, dict[int, float]]:
     """Top-k accuracy per k of each stage combination run by ``run_stages``,
-    keyed by the combination's canonical name; ``seeds`` may be None without S."""
-    reports: dict[str, dict[int, float]] = {}
+    keyed by the combination's canonical name in grid order; ``seeds`` may be
+    None without S. A combination that starts a longer one, such as S or S+A
+    of S+A+R, reads its W from that run rather than running again."""
+    names = [parse_stages(combo) for combo in grid]
+    ws: dict[str, MappingMatrix] = {}
+    for name in sorted(names, key=len, reverse=True):
+        if name not in ws:
+            run = run_stages(name, src, tgt, seeds, adv_cfg, ref_cfg, rng_seed)
+            # the i-th output is that of the name's first i + 1 stages
+            for i, w in enumerate(run.outputs.values()):
+                ws[name[:2 * i + 1]] = w
     sources = truth.sources()
-    for combo in grid:
-        name = parse_stages(combo)
-        w = run_stages(name, src, tgt, seeds, adv_cfg, ref_cfg, rng_seed)
-        results = batch_query(sources, w, src, tgt, max(k_list))
+    reports: dict[str, dict[int, float]] = {}
+    for name in names:
+        results = batch_query(sources, ws[name], src, tgt, max(k_list))
         reports[name] = {k: topk_accuracy(results, truth, k) for k in k_list}
     return reports

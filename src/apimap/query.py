@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingSpace
-from .seeding import MappingMatrix
+from .seeding import MappingMatrix, check_pair
 from .similarity import topk
 
 
@@ -57,16 +57,13 @@ def batch_query(
     and a result may be empty. Unknown source tokens yield an oov-marked
     result. A token whose mapped vector is zero has no defined cosine and
     raises ValueError naming the first such token; a W that is not d x d for
-    the source dimension d, a target space of another dimension, or a
-    threshold outside [0, 1), raises ValueError.
+    the source dimension d, a target space of another dimension, an empty
+    space, or a threshold outside [0, 1), raises ValueError.
     """
     if threshold is not None and not 0 <= threshold < 1:
         raise ValueError(f"threshold {threshold} outside [0, 1)")
+    check_pair(w, src, tgt)
     m = np.asarray(w)
-    if m.shape != (src.dim, src.dim) or tgt.dim != src.dim:
-        raise ValueError(
-            f"dimension mismatch: W is {m.shape}, source {src.dim}, target {tgt.dim}"
-        )
     known = [t for t in tokens if t in src]
     rows = src.vectors[[src.vocab.index(t) for t in known]]
     # one matrix-vector product per token: a row of X @ W.T can differ in its

@@ -23,6 +23,7 @@ from .seeding import (
     MappingMatrix,
     STAGE_REFINED,
     SeedDictionary,
+    check_pair,
     nearest_orthogonal,
     seed_matrices,
     solve_procrustes,
@@ -157,13 +158,7 @@ def refine(
     intersection mode, or the rows that pass either heuristic in union mode,
     ascending. No W is scanned after the last solve.
     """
-    if w2.dim != src.dim or src.dim != tgt.dim:
-        raise ValueError(
-            f"dimension mismatch: W is {w2.dim}, source {src.dim}, target {tgt.dim}"
-        )
-    for side, space in (("source", src), ("target", tgt)):
-        if len(space) == 0:
-            raise ValueError(f"{side} embedding space is empty")
+    check_pair(w2, src, tgt)
     k_sel = min(cfg.selection_topk, len(src))
     best_w = nearest_orthogonal(w2.w)
     best_criterion = criterion = selection_criterion(best_w, src, tgt, k_sel)

@@ -42,12 +42,6 @@ class SeedDictionary:
     def __iter__(self):
         return iter(self.pairs)
 
-    def restricted_to(self, src: Vocabulary, tgt: Vocabulary) -> "SeedDictionary":
-        """Drop pairs whose tokens are missing from either vocabulary."""
-        return SeedDictionary(
-            tuple((s, t) for s, t in self.pairs if s in src and t in tgt)
-        )
-
 
 @dataclass(eq=False)
 class MappingMatrix:
@@ -73,6 +67,19 @@ class MappingMatrix:
     @property
     def dim(self) -> int:
         return self.w.shape[0]
+
+
+def check_pair(w: MappingMatrix | np.ndarray, src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
+    """Raise ValueError unless W is d x d for the source dimension d, the target
+    has dimension d too, and neither space is empty."""
+    shape = np.shape(w)
+    if shape != (src.dim, src.dim) or tgt.dim != src.dim:
+        raise ValueError(
+            f"dimension mismatch: W is {shape}, source {src.dim}, target {tgt.dim}"
+        )
+    for side, space in (("source", src), ("target", tgt)):
+        if len(space) == 0:
+            raise ValueError(f"{side} embedding space is empty")
 
 
 def is_orthogonal(w: np.ndarray) -> bool:
@@ -117,9 +124,10 @@ def mine_signature_seeds(src: Vocabulary, tgt: Vocabulary) -> SeedDictionary:
 def seed_matrices(
     seeds: SeedDictionary, src: EmbeddingSpace, tgt: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack seed-pair embeddings as aligned |S| x d matrices."""
-    usable = seeds.restricted_to(src.vocab, tgt.vocab)
-    if len(usable) == 0:
+    """Stack the embeddings of the seed pairs present in both vocabularies as
+    aligned |S| x d matrices."""
+    usable = [(s, t) for s, t in seeds if s in src.vocab and t in tgt.vocab]
+    if not usable:
         raise ValueError("no seed pair is present in both vocabularies")
     x = np.stack([src.vector(s) for s, _ in usable])
     y = np.stack([tgt.vector(t) for _, t in usable])

@@ -8,17 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from apimap import adversarial
-from apimap.adversarial import AdvConfig, selection_criterion, train_adversarial
+from apimap.adversarial import AdvConfig, selection_criterion
 from apimap.embedding import TrainConfig, train_skipgram
+from apimap.evaluation import run_stages
 from apimap.refinement import RefineConfig, refine
-from apimap.seeding import (
-    MappingMatrix,
-    STAGE_SEEDED,
-    random_orthogonal,
-    seed_matrices,
-    solve_procrustes,
-)
 
 from helpers import cosine, make_paired_task, oracle_top1, planted_corpus
 
@@ -62,44 +55,30 @@ def sar_runs():
     cpu_started = time.process_time()
     for seed in range(5):
         task = make_paired_task(seed=seed)
-        x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
-        w1 = solve_procrustes(x_s, y_s)
-        history = []
-        # ground-truth top-1 of every W that training scores with the selection
-        # criterion: the starting W, then each epoch-end W
-        scored_accuracy = []
+        chain = (task.src, task.tgt, task.seeds, adv_config(seed + 100), refine_config())
+        run = run_stages("S+A+R", *chain, rng_seed=seed + 7)
+        w_r_only = run_stages("R", *chain, rng_seed=seed + 7).w
 
-        def scored(w, src, tgt, k, task=task, out=scored_accuracy):
-            out.append(oracle_top1(w, task.src, task.tgt, task.truth_idx))
-            return selection_criterion(w, src, tgt, k)
+        def top1(w, task=task):
+            return oracle_top1(w, task.src, task.tgt, task.truth_idx)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(adversarial, "selection_criterion", scored)
-            w2 = train_adversarial(w1, task.src, task.tgt, adv_config(seed + 100), history)
-        assert len(scored_accuracy) == len(history) + 1
-        w3 = refine(w2, task.src, task.tgt, refine_config())
-        w_random = MappingMatrix(
-            random_orthogonal(task.src.dim, np.random.default_rng(seed + 7)),
-            STAGE_SEEDED,
-            orthogonal=True,
-        )
-        w_r_only = refine(w_random, task.src, task.tgt, refine_config())
+        w1, w2, w3 = (run.outputs[stage] for stage in "SAR")
         runs.append(
             {
                 "task": task,
                 "w1": w1,
                 "w2": w2,
                 "w3": w3,
-                "top1_s": oracle_top1(w1, task.src, task.tgt, task.truth_idx),
-                "top1_sa": oracle_top1(w2, task.src, task.tgt, task.truth_idx),
-                "top1_sar": oracle_top1(w3, task.src, task.tgt, task.truth_idx),
-                "top1_r_only": oracle_top1(w_r_only, task.src, task.tgt, task.truth_idx),
+                "top1_s": top1(w1),
+                "top1_sa": top1(w2),
+                "top1_sar": top1(w3),
+                "top1_r_only": top1(w_r_only),
                 "criterion_w1": selection_criterion(w1.w, task.src, task.tgt, SELECTION_K),
                 "criterion_w2": selection_criterion(w2.w, task.src, task.tgt, SELECTION_K),
                 "criterion_w3": selection_criterion(w3.w, task.src, task.tgt, SELECTION_K),
-                "epoch_criteria": [h.criterion for h in history],
-                "epoch_accuracy": scored_accuracy[1:],
-                "history": history,
+                "epoch_criteria": [h.criterion for h in run.epochs],
+                "epoch_accuracy": [top1(h.w) for h in run.epochs],
+                "history": run.epochs,
             }
         )
     elapsed = time.time() - started
@@ -113,9 +92,8 @@ def decoy_runs():
     runs = []
     for seed in range(5):
         task = make_paired_task(seed=seed, decoy_frac=0.2)
-        x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
-        w1 = solve_procrustes(x_s, y_s)
-        w2 = train_adversarial(w1, task.src, task.tgt, adv_config(seed + 100))
+        w2 = run_stages("S+A", task.src, task.tgt, task.seeds, adv_config(seed + 100),
+                        refine_config(), rng_seed=0).w
         w3_inter = refine(w2, task.src, task.tgt, refine_config("intersection"))
         w3_union = refine(w2, task.src, task.tgt, refine_config("union"))
         runs.append(

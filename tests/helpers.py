@@ -102,6 +102,16 @@ def make_paired_task(
     return PairedTask(src, tgt, rotation, seed_idx, truth_idx)
 
 
+def space_from(vectors, tokens=None, prefix="t") -> EmbeddingSpace:
+    """A space of ``vectors`` whose tokens are ``tokens``, or ``<prefix>0000``,
+    ``<prefix>0001``, ... in row order, with counts falling down the rows."""
+    n = len(vectors)
+    tokens = tokens or [f"{prefix}{i:04d}" for i in range(n)]
+    return EmbeddingSpace(
+        np.asarray(vectors, dtype=float), Vocabulary(tokens, range(2 * n, n, -1))
+    )
+
+
 def rotate_pair(
     src: EmbeddingSpace, tgt: EmbeddingSpace, p: np.ndarray, q: np.ndarray
 ) -> tuple[EmbeddingSpace, EmbeddingSpace]:

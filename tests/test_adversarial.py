@@ -17,12 +17,11 @@ from apimap.adversarial import (
     selection_criterion,
     train_adversarial,
 )
-from apimap.corpus import Vocabulary
-from apimap.embedding import EmbeddingSpace
-from apimap.seeding import random_orthogonal, seed_matrices, solve_procrustes
+from apimap.evaluation import run_stages
+from apimap.seeding import random_orthogonal
 
-from conftest import adv_config
-from helpers import make_paired_task
+from conftest import adv_config, refine_config
+from helpers import make_paired_task, oracle_top1, space_from
 
 
 def zeroed_discriminator(dim, hidden=4):
@@ -57,14 +56,6 @@ def map_loss(disc, w, x, y, smoothing=0.0):
 
 def logit(p):
     return math.log(p / (1.0 - p))
-
-
-def space_from(vectors, prefix="w"):
-    n = len(vectors)
-    return EmbeddingSpace(
-        np.asarray(vectors, dtype=float),
-        Vocabulary([f"{prefix}{i:04d}" for i in range(n)], range(2 * n, n, -1)),
-    )
 
 
 class TestLossValues:
@@ -353,9 +344,8 @@ class TestFloat32Discriminator:
     @staticmethod
     def small_run():
         task = make_paired_task(n=300, n_seeds=10, n_truth=10, seed=3)
-        x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
         cfg = AdvConfig(epochs=2, hidden_dim=32, selection_topk=100, rng_seed=7)
-        return train_adversarial(solve_procrustes(x_s, y_s), task.src, task.tgt, cfg)
+        return run_stages("S+A", task.src, task.tgt, task.seeds, cfg, refine_config(), 0).w
 
     def test_trained_discriminator_is_float32_and_w_float64(self, monkeypatch):
         from apimap import adversarial
@@ -397,7 +387,7 @@ class TestSelectionCriterion:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 8))
         rot = random_orthogonal(8, rng)
-        src = space_from(x)
+        src = space_from(x, prefix="s")
         tgt = space_from(x @ rot.T, prefix="t")
         assert selection_criterion(rot, src, tgt, 40) == pytest.approx(1.0)
 
@@ -405,7 +395,7 @@ class TestSelectionCriterion:
         below = 0
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            src = space_from(rng.normal(size=(500, 50)))
+            src = space_from(rng.normal(size=(500, 50)), prefix="s")
             tgt = space_from(rng.normal(size=(500, 50)), prefix="t")
             w = random_orthogonal(50, rng)
             if selection_criterion(w, src, tgt, 100) < 0.5:
@@ -456,36 +446,23 @@ class TestTrainAdversarial:
     def test_improves_criterion_from_weak_seeding(self):
         # 10 seeds in 50 dimensions leave plenty of headroom for training
         task = make_paired_task(seed=0, n_seeds=10)
-        x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
-        w1 = solve_procrustes(x_s, y_s)
-        c1 = selection_criterion(w1.w, task.src, task.tgt, 1000)
-        w2 = train_adversarial(w1, task.src, task.tgt, adv_config(42))
-        c2 = selection_criterion(w2.w, task.src, task.tgt, 1000)
+        run = run_stages("S+A", task.src, task.tgt, task.seeds, adv_config(42), refine_config(), 0)
+        c1, c2 = (selection_criterion(run.outputs[s], task.src, task.tgt, 1000) for s in "SA")
         assert c2 > c1
 
     def test_seeded_init_beats_random_init(self):
         # compared on ground-truth accuracy: the unsupervised criterion cannot
         # tell a correctly anchored alignment from a mis-permuted one, so a
-        # random-init run can tie it while being useless for retrieval
-        from apimap.seeding import MappingMatrix, STAGE_SEEDED
-
-        from helpers import oracle_top1
-
+        # random-init run can tie it while being useless for retrieval; the
+        # random start is drawn from the seed
         seeded, randomed = [], []
         for seed in range(5):
             task = make_paired_task(seed=seed, n_seeds=10)
-            x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
-            w1 = solve_procrustes(x_s, y_s)
-            cfg = adv_config(seed + 300, epochs=8)
-            w2 = train_adversarial(w1, task.src, task.tgt, cfg)
-            seeded.append(oracle_top1(w2, task.src, task.tgt, task.truth_idx))
-            w_rand = MappingMatrix(
-                random_orthogonal(task.src.dim, np.random.default_rng(seed)),
-                STAGE_SEEDED,
-                orthogonal=True,
-            )
-            w2r = train_adversarial(w_rand, task.src, task.tgt, cfg)
-            randomed.append(oracle_top1(w2r, task.src, task.tgt, task.truth_idx))
+            chain = (task.src, task.tgt, task.seeds, adv_config(seed + 300, epochs=8),
+                     refine_config())
+            for stages, out in (("S+A", seeded), ("A", randomed)):
+                w = run_stages(stages, *chain, rng_seed=seed).w
+                out.append(oracle_top1(w, task.src, task.tgt, task.truth_idx))
         assert np.median(seeded) >= np.median(randomed)
 
     def test_returned_snapshot_dominates_history(self, sar_runs):

@@ -203,7 +203,8 @@ def trained_pair(tmp_path):
         "".join(f"{s}\t{t}\n" for s, t in task.truth.pairs)
     )
     return {"dir": tmp_path, "task": task, "src": src_path, "tgt": tgt_path,
-            "seeds": seeds_path, "truth": truth_path}
+            "seeds": seeds_path, "truth": truth_path,
+            "spaces": ["--src-emb", str(src_path), "--tgt-emb", str(tgt_path)]}
 
 
 class TestSeedsCommand:
@@ -228,9 +229,7 @@ class TestSeedsCommand:
 class TestAlign:
     def test_seeding_only_stage(self, trained_pair):
         matrix = trained_pair["dir"] / "w.txt"
-        code = run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        code = run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s", "--out-matrix", str(matrix))
         assert code == 0
         from apimap.seeding import ORTHOGONALITY_TOL, load_matrix
@@ -243,9 +242,7 @@ class TestAlign:
         matrix = trained_pair["dir"] / "w3.txt"
         log = trained_pair["dir"] / "adv.csv"
         report = trained_pair["dir"] / "refine-report.csv"
-        code = run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        code = run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s,a,r", "--out-matrix", str(matrix),
                    "--log", str(log), "--refine-report", str(report),
                    "--adv-epochs", "2", "--adv-hidden", "16",
@@ -275,9 +272,7 @@ class TestAlign:
         assert load_matrix(str(matrix)).stage == "refined"
 
     def test_stage_order_enforced(self, trained_pair, capsys):
-        code = run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        code = run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "a,s", "--out-matrix",
                    str(trained_pair["dir"] / "w.txt"))
         assert code == 2
@@ -287,24 +282,20 @@ class TestAlign:
         from apimap.seeding import load_matrix, load_seeds
 
         matrix = trained_pair["dir"] / "w_sr.txt"
-        code = run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        code = run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s,r", "--out-matrix", str(matrix),
                    "--refine-topk", "40", "--refine-iters", "2", "--seed", "3")
         assert code == 0
         src, tgt = load_space(str(trained_pair["src"])), load_space(str(trained_pair["tgt"]))
         w = run_stages("S+R", src, tgt, load_seeds(str(trained_pair["seeds"])), AdvConfig(),
-                       RefineConfig(topk=40, max_iters=2), rng_seed=3)
+                       RefineConfig(topk=40, max_iters=2), rng_seed=3).w
         loaded = load_matrix(str(matrix))
         assert loaded.stage == w.stage == "refined"
         assert np.array_equal(loaded.w, w.w)
 
     def test_union_refine_draws_only_from_the_frequent_head(self, trained_pair):
         report = trained_pair["dir"] / "union-report.csv"
-        code = run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        code = run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s,r", "--out-matrix", str(trained_pair["dir"] / "w_u.txt"),
                    "--refine-mode", "union", "--refine-topk", "40",
                    "--refine-report", str(report), "--seed", "3")
@@ -319,6 +310,7 @@ class TestAlign:
     def test_dimension_mismatch_exits_2(self, trained_pair, tmp_path, capsys):
         from apimap.corpus import Vocabulary
         from apimap.embedding import EmbeddingSpace, save_space
+        from apimap.seeding import MappingMatrix, save_matrix
 
         other = tmp_path / "narrow.txt"
         save_space(EmbeddingSpace(np.eye(3), Vocabulary(["a", "b", "c"], [3, 2, 1])),
@@ -327,18 +319,23 @@ class TestAlign:
                    "--tgt-emb", str(other), "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s", "--out-matrix", str(tmp_path / "w.txt"))
         assert code == 2
-        # a 0-row space of the right dimension loads, and then A and R reject it
+        # a 0-row space of the right dimension loads, and then A, R and the
+        # queries of query and eval reject it
         empty = tmp_path / "empty.txt"
         empty.write_text("0 10\n")
+        eye = tmp_path / "eye.txt"
+        save_matrix(MappingMatrix(np.eye(10), "seeded"), str(eye))
         src, tgt = str(trained_pair["src"]), str(trained_pair["tgt"])
-        for stages, src_emb, tgt_emb, side in [("r", src, empty, "target"),
-                                               ("r", empty, tgt, "source"),
-                                               ("a", src, empty, "target"),
-                                               ("a", empty, tgt, "source")]:
-            code = run("align", "--src-emb", str(src_emb), "--tgt-emb", str(tgt_emb),
-                       "--stages", stages, "--out-matrix", str(tmp_path / "w.txt"))
-            assert code == 2
-            assert f"apimap: error: {side} embedding space is empty" in capsys.readouterr().err
+        commands = [["align", "--stages", stages, "--out-matrix", str(tmp_path / "w.txt")]
+                    for stages in "ra"]
+        commands += [["query", "--matrix", str(eye), "x"],
+                     ["eval", "--matrix", str(eye), "--truth", str(trained_pair["truth"])]]
+        for argv in commands:
+            for src_emb, tgt_emb, side in [(src, empty, "target"), (empty, tgt, "source")]:
+                code = run(*argv, "--src-emb", str(src_emb), "--tgt-emb", str(tgt_emb))
+                assert code == 2
+                err = capsys.readouterr().err
+                assert f"apimap: error: {side} embedding space is empty" in err
         assert not (tmp_path / "w.txt").exists()
 
     def test_bad_stage_flag_exits_2_before_loading(self, tmp_path, capsys):
@@ -359,16 +356,13 @@ class TestQueryAndEval:
     @pytest.fixture()
     def aligned(self, trained_pair):
         matrix = trained_pair["dir"] / "w.txt"
-        assert run("align", "--src-emb", str(trained_pair["src"]),
-                   "--tgt-emb", str(trained_pair["tgt"]),
-                   "--seeds", str(trained_pair["seeds"]),
+        assert run("align", *trained_pair["spaces"], "--seeds", str(trained_pair["seeds"]),
                    "--stages", "s", "--out-matrix", str(matrix)) == 0
         return {**trained_pair, "matrix": matrix}
 
     def test_query_tsv_output(self, aligned, capsys):
         token = aligned["task"].truth.pairs[0][0]
-        code = run("query", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("query", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--k", "3", token)
         assert code == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
@@ -378,16 +372,13 @@ class TestQueryAndEval:
         assert len(first) == 4
 
     def test_query_oov_marker(self, aligned, capsys):
-        code = run("query", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("query", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--k", "3", "unknown.token")
         assert code == 0
         assert "unknown.token\t-\tOOV\t-" in capsys.readouterr().out
 
     def test_query_without_tokens_exits_2(self, aligned):
-        assert run("query", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]),
-                   "--tgt-emb", str(aligned["tgt"])) == 2
+        assert run("query", "--matrix", str(aligned["matrix"]), *aligned["spaces"]) == 2
 
     def test_query_file_line_with_two_tokens_exits_2_before_loading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
@@ -418,16 +409,14 @@ class TestQueryAndEval:
     def test_query_threshold_filters(self, aligned, tmp_path):
         token = aligned["task"].truth.pairs[0][0]
         out = tmp_path / "q.tsv"
-        assert run("query", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        assert run("query", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--k", "5", "--threshold", "0.999999", "--out", str(out),
                    token) == 0
         assert out.read_text() == "" or token in out.read_text()
 
     def test_eval_report(self, aligned, tmp_path):
         out = tmp_path / "report.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--k-list", "1,5",
                    "--out", str(out))
         assert code == 0
@@ -440,8 +429,7 @@ class TestQueryAndEval:
         out = tmp_path / "report.csv"
         cov = tmp_path / "coverage.csv"
         abl = tmp_path / "ablation.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--k-list", "1,5",
                    "--thresholds", "0.5,0.7", "--ablation", "S",
                    "--seeds", str(aligned["seeds"]),
@@ -454,8 +442,7 @@ class TestQueryAndEval:
 
     def test_eval_ablation_without_seeds_exits_2_before_writing(self, aligned, tmp_path):
         out = tmp_path / "report.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--ablation", "S",
                    "--out", str(out))
         assert code == 2
@@ -463,8 +450,7 @@ class TestQueryAndEval:
 
     def test_eval_bad_stage_flag_exits_2_before_writing(self, aligned, tmp_path, capsys):
         out, cov = tmp_path / "e.csv", tmp_path / "coverage.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--ablation", "S+R",
                    "--seeds", str(aligned["seeds"]), "--refine-threshold", "1.5",
                    "--thresholds", "0.5", "--out", str(out), "--coverage-out", str(cov))
@@ -479,8 +465,7 @@ class TestQueryAndEval:
         if content is not None:
             seeds.write_text(content)
         out, cov = tmp_path / "e.csv", tmp_path / "coverage.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--ablation", "S",
                    "--seeds", str(seeds), "--thresholds", "0.5",
                    "--out", str(out), "--coverage-out", str(cov))
@@ -494,8 +479,7 @@ class TestQueryAndEval:
     def test_eval_bad_number_list_exits_2_before_writing(self, aligned, tmp_path, capsys,
                                                          flag, value):
         out = tmp_path / "report.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), flag, value, "--out", str(out))
         assert code == 2
         assert not out.exists()
@@ -515,8 +499,7 @@ class TestQueryAndEval:
 
     def test_eval_ablation_without_s_needs_no_seeds(self, aligned, tmp_path):
         abl = tmp_path / "ablation.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--k-list", "1,5",
                    "--ablation", "R", "--refine-iters", "1",
                    "--out", str(tmp_path / "report.csv"), "--ablation-out", str(abl))
@@ -528,8 +511,7 @@ class TestQueryAndEval:
     @pytest.mark.parametrize("grid", ["S,R", "R,S+R"])
     def test_eval_ablation_item_with_s_needs_seeds(self, aligned, tmp_path, grid):
         out = tmp_path / "report.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--ablation", grid,
                    "--out", str(out))
         assert code == 2
@@ -553,8 +535,7 @@ class TestQueryAndEval:
         monkeypatch.setattr(query, "batch_query", counting)
         monkeypatch.setattr(evaluation, "batch_query", counting)
         cov = tmp_path / "coverage.csv"
-        code = run("eval", "--matrix", str(aligned["matrix"]),
-                   "--src-emb", str(aligned["src"]), "--tgt-emb", str(aligned["tgt"]),
+        code = run("eval", "--matrix", str(aligned["matrix"]), *aligned["spaces"],
                    "--truth", str(aligned["truth"]), "--k-list", "1,5",
                    "--thresholds", "0.5,0.7", "--out", str(tmp_path / "report.csv"),
                    "--coverage-out", str(cov))

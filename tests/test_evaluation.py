@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from apimap.adversarial import AdvConfig
-from apimap.corpus import Vocabulary
-from apimap.embedding import EmbeddingSpace
+from apimap import evaluation
+from apimap.adversarial import AdvConfig, selection_criterion, train_adversarial
 from apimap.errors import FormatError
 from apimap.evaluation import (
     GroundTruth,
@@ -16,26 +15,19 @@ from apimap.evaluation import (
     parse_stages,
     precision_recall_f,
     run_ablation,
+    run_stages,
     topk_accuracy,
 )
 from apimap.query import QueryResult, batch_query
-from apimap.refinement import RefineConfig
-from apimap.seeding import MappingMatrix, seed_matrices, solve_procrustes
+from apimap.refinement import RefineConfig, refine
+from apimap.seeding import MappingMatrix, SeedDictionary, seed_matrices, solve_procrustes
 
-from helpers import make_paired_task
+from helpers import make_paired_task, space_from
 
 
 def result(token, *targets):
     sims = [(t, 1.0 - 0.01 * i) for i, t in enumerate(targets)]
     return QueryResult(token, tuple(sims))
-
-
-def space_from(vectors, tokens=None, prefix="t"):
-    n = len(vectors)
-    tokens = tokens or [f"{prefix}{i:04d}" for i in range(n)]
-    return EmbeddingSpace(
-        np.asarray(vectors, dtype=float), Vocabulary(tokens, range(2 * n, n, -1))
-    )
 
 
 class TestTopkAccuracy:
@@ -176,8 +168,8 @@ class TestCoverageAccuracyTable:
 
     def test_threshold_validation(self):
         src, tgt, truth = self.cluster_space()
-        w = MappingMatrix(np.eye(3), "seeded")
-        with pytest.raises(ValueError):
+        w = MappingMatrix(np.eye(6), "seeded")
+        with pytest.raises(ValueError, match=r"^threshold 1.0 outside \[0, 1\)$"):
             coverage_accuracy_table(w, src, tgt, truth, thresholds=[1.0], k_list=(1,))
 
     def test_unqueried_truth_source_rejected(self):
@@ -219,6 +211,53 @@ class TestRunAblation:
 
     def test_refine_from_random_near_useless(self, sar_runs):
         assert np.median([r["top1_r_only"] for r in sar_runs["runs"]]) < 0.05
+
+    def test_item_that_starts_a_longer_one_reuses_its_run(self, monkeypatch):
+        task, adv, ref = small_chain(n_seeds=20)
+        data = (task.src, task.tgt, task.seeds, task.truth)
+        grid = ["S", "S+A", "S+A+R", "S+R"]
+        alone = {name: run_ablation(*data, [name], adv, ref, (1, 5), 0)[name] for name in grid}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return train_adversarial(*args)
+
+        monkeypatch.setattr(evaluation, "train_adversarial", counted)
+        reports = run_ablation(*data, ["s", "S+A", "s,a,r", "S+R"], adv, ref, (1, 5), 0)
+        assert len(calls) == 1
+        assert list(reports) == grid
+        assert reports == alone
+
+
+def small_chain(n_seeds):
+    """A 300 x 10 task and small A and R configs that run in well under a second."""
+    task = make_paired_task(n=300, dim=10, n_seeds=n_seeds, n_truth=30, seed=7)
+    adv = AdvConfig(epochs=3, hidden_dim=16, steps_per_epoch=10, selection_topk=100,
+                    rng_seed=1)
+    return task, adv, RefineConfig(topk=100, selection_topk=100)
+
+
+class TestRunStages:
+    # with 3 seeds some epoch beats S's W; with 60, S is near exact and none does
+    @pytest.mark.parametrize("n_seeds, improved", [(3, True), (60, False)])
+    def test_record_holds_the_stages_run_by_hand(self, n_seeds, improved):
+        task, adv, ref = small_chain(n_seeds)
+        seeds = SeedDictionary(task.seeds.pairs + (("no.such", "pair.here"),))
+        run = run_stages("s,a,r", task.src, task.tgt, seeds, adv, ref, 0)
+        w_s = solve_procrustes(*seed_matrices(task.seeds, task.src, task.tgt))
+        w_a = train_adversarial(w_s, task.src, task.tgt, adv)
+        w_r = refine(w_a, task.src, task.tgt, ref)
+        assert list(run.outputs) == ["S", "A", "R"] and run.w is run.outputs["R"]
+        for stage, w in zip("SAR", (w_s, w_a, w_r)):
+            assert run.outputs[stage].w.tobytes() == w.w.tobytes()
+        assert run.usable_seeds == n_seeds
+        assert [h.epoch for h in run.epochs] == [1, 2, 3] and run.iterations[0].iteration == 0
+        for h in run.epochs:
+            assert h.criterion == selection_criterion(h.w, task.src, task.tgt, 100)
+        best = max(run.epochs, key=lambda h: h.criterion)
+        assert (best.criterion > selection_criterion(w_s, task.src, task.tgt, 100)) == improved
+        assert w_a.w.tobytes() == (best.w if improved else w_s.w).tobytes()
 
 
 class TestEvaluationHygiene:

@@ -11,15 +11,7 @@ from apimap.embedding import EmbeddingSpace
 from apimap.query import QueryResult, batch_query
 from apimap.seeding import MappingMatrix, random_orthogonal
 
-from helpers import brute_force_neighbors
-
-
-def space_from(vectors, prefix="t"):
-    n = len(vectors)
-    return EmbeddingSpace(
-        np.asarray(vectors, dtype=float),
-        Vocabulary([f"{prefix}{i:04d}" for i in range(n)], range(2 * n, n, -1)),
-    )
+from helpers import brute_force_neighbors, space_from
 
 
 def query_vector(v, tgt, k, threshold=None):
@@ -149,6 +141,13 @@ class TestBatchQuery:
             ValueError, match=r"^dimension mismatch: W is \(4, 4\), source 4, target 3$"
         ):
             batch_query(["s0000"], w, src, tgt, 1)
+
+    def test_empty_space_rejected(self):
+        space, empty = space_from(np.eye(2), prefix="s"), space_from(np.empty((0, 2)))
+        w = MappingMatrix(np.eye(2), "seeded", orthogonal=True)
+        for src, tgt, side in [(space, empty, "target"), (empty, space, "source")]:
+            with pytest.raises(ValueError, match=f"^{side} embedding space is empty$"):
+                batch_query(["s0000"], w, src, tgt, 1)
 
     @pytest.mark.parametrize("threshold", [float("nan"), 1.5, -0.1])
     def test_threshold_outside_unit_interval_rejected(self, threshold):

@@ -8,7 +8,6 @@ import pytest
 
 from apimap import similarity
 from apimap.adversarial import selection_criterion
-from apimap.corpus import Vocabulary
 from apimap.embedding import EmbeddingSpace
 from apimap.refinement import (
     RefineConfig,
@@ -28,15 +27,7 @@ from apimap.seeding import (
 from apimap.similarity import unit_rows
 
 from conftest import refine_config
-from helpers import make_paired_task, oracle_top1
-
-
-def space_from(vectors, prefix="t"):
-    n = len(vectors)
-    return EmbeddingSpace(
-        np.asarray(vectors, dtype=float),
-        Vocabulary([f"{prefix}{i:04d}" for i in range(n)], range(2 * n, n, -1)),
-    )
+from helpers import make_paired_task, oracle_top1, space_from
 
 
 def decoy_task_and_start():
@@ -521,8 +512,7 @@ class TestRefine:
 
     def test_gain_concentrates_on_frequent_tokens(self):
         # noise grows with frequency rank; refinement anchors on frequent tokens
-        from apimap.adversarial import train_adversarial
-        from apimap.seeding import seed_matrices, solve_procrustes
+        from apimap.evaluation import run_stages
         from conftest import adv_config
 
         gains_top, gains_bottom = [], []
@@ -532,10 +522,9 @@ class TestRefine:
             sorted_truth = task.truth_idx[order]
             decile = len(sorted_truth) // 10
             top_slice, bottom_slice = sorted_truth[:decile], sorted_truth[-decile:]
-            x_s, y_s = seed_matrices(task.seeds, task.src, task.tgt)
-            w1 = solve_procrustes(x_s, y_s)
-            w2 = train_adversarial(w1, task.src, task.tgt, adv_config(seed + 100))
-            w3 = refine(w2, task.src, task.tgt, refine_config())
+            run = run_stages("S+A+R", task.src, task.tgt, task.seeds, adv_config(seed + 100),
+                             refine_config(), 0)
+            w2, w3 = run.outputs["A"], run.outputs["R"]
             gains_top.append(
                 oracle_top1(w3, task.src, task.tgt, top_slice)
                 - oracle_top1(w2, task.src, task.tgt, top_slice)
